@@ -76,15 +76,9 @@ def counts_of(bits):
 def sample_ghz_counts(n, rates, edges, p_edge, shots, rng, measured=None):
     """Counts of GHZ shots read through the noise, on the measured qubits.
 
-    Only the measured qubits are simulated: the GHZ state restricted to them
-    is GHZ again, and no channel with an unmeasured qubit fires.
+    No channel with an unmeasured qubit fires (see ``sample_bits``).
     """
-    measured = tuple(range(n)) if measured is None else tuple(measured)
-    pos = {q: i for i, q in enumerate(measured)}
-    local_edges = [(pos[a], pos[b]) for a, b in edges if a in pos and b in pos]
-    local_rates = np.asarray(rates, dtype=float)[list(measured)]
-    prepared = ghz_shots(len(measured), shots, rng)
-    return counts_of(sample_bits(prepared, local_rates, local_edges, p_edge, rng))
+    return counts_of(sample_bits(ghz_shots(n, shots, rng), rates, edges, p_edge, rng, measured))
 
 
 def _odd(k, p):

@@ -68,7 +68,7 @@ def main(argv=None):
         workload.setup()
         setup_times.append(time.perf_counter() - t0)
 
-    ops, rates, medians, correct, error = [], [], [], True, None
+    ops, medians, correct, error = [], [], True, None
     measured_s = round_s = 0.0
     try:
         # whole rounds, stopping where the total comes nearest --seconds
@@ -80,7 +80,6 @@ def main(argv=None):
             measured_s += round_s
             ops.extend(round_ops)
             latencies = [1e3 * op.seconds for op in round_ops if not op.failed]
-            rates.append(len(latencies) / round_s)
             if latencies:
                 medians.append(statistics.median(latencies))
             workload.check(round_ops, payload, inputs)
@@ -91,6 +90,7 @@ def main(argv=None):
         tracer.uninstall()
 
     done = [op for op in ops if not op.failed]
+    ops_per_s = len(done) / measured_s
     norms = [op.one_norm_cmc for op in done if op.one_norm_cmc is not None]
     if tracer is not None:
         os.makedirs(workloads.OUT_DIR, exist_ok=True)
@@ -98,13 +98,16 @@ def main(argv=None):
             workloads.OUT_DIR, f"trace-{args.workload}-{args.seed}.jsonl"))
         metrics = spans.layer_metrics(
             tracer, len(ops), SETUPS, measured_s, getattr(workload, "store_bytes", 0),
-            statistics.median(rates))
+            ops_per_s)
     else:
         metrics = {
             "setup_s": (import_s + statistics.median(setup_times), "s"),
-            # medians over rounds, so that a burst of load on a shared machine
-            # during one round does not move the figures
-            "ops_per_s": (statistics.median(rates), "ops/s"),
+            # the whole run's throughput: the machine's speed drifts over
+            # seconds, and its mean over the run varies less between runs
+            # than the median of per-round throughputs does
+            "ops_per_s": (ops_per_s, "ops/s"),
+            # median over rounds of each round's median, so that a burst of
+            # load on a shared machine during one round does not move it
             "op_ms_p50": (statistics.median(medians) if medians else 0.0, "ms"),
             "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
             "one_norm_cmc": (statistics.fmean(norms) if norms else 0.0, "1"),

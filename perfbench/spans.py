@@ -146,8 +146,8 @@ class Tracer:
 
         return wrapper
 
-    def install(self, sites=SITES):
-        for path, attr, name in sites:
+    def install(self):
+        for path, attr, name in SITES:
             owner = _resolve(path)
             raw = inspect.getattr_static(owner, attr)
             if isinstance(raw, classmethod):

@@ -238,10 +238,9 @@ class Sweep:
                    f"bare n={n} edge {(a, b)}: {got.round(5)} vs exact {want.round(5)}")
 
     def finish(self):
-        bare, cmc = self.norms["bare"], self.norms["cmc"]
-        _check(bare and cmc and statistics.fmean(cmc) < statistics.fmean(bare),
-               f"mean cmc one-norm {statistics.fmean(cmc):.4f} !< bare "
-               f"{statistics.fmean(bare):.4f}")
+        _check(self.norms["bare"] and self.norms["cmc"], "no bare or cmc cell succeeded")
+        bare, cmc = statistics.fmean(self.norms["bare"]), statistics.fmean(self.norms["cmc"])
+        _check(cmc < bare, f"mean cmc one-norm {cmc:.4f} !< bare {bare:.4f}")
 
 
 def sweep_indep(seed, tracer):
@@ -322,16 +321,19 @@ class Store:
         self.tracer = tracer
         self.archs = archs
         self.bare, self.cmc = [], []
-        self.first = {}
 
     def setup(self):
-        rng = np.random.default_rng([self.seed, 0])
         os.makedirs(OUT_DIR, exist_ok=True)
         self.devices = []
         self.store_bytes = 0
         for i, arch in enumerate(self.archs):
             cmap = cmcal.generate_architecture(**arch)
             rates = device_rates(cmap.num_qubits)
+            # calibrated once, like the device is built once: calibration
+            # shots drawn per seed moved the mean one-norm of mitigate-subset
+            # between 0.144 and 0.174 over five seeds, against 0.170-0.174
+            # from the mitigated counts alone
+            rng = np.random.default_rng([DEVICE_SEED, cmap.num_qubits, 0])
             path = os.path.join(OUT_DIR, f"store-{os.getpid()}-{i}.json")
             try:
                 store, size = build_store(cmap, rates, STORE_EDGE_FLIP, rng, path)
@@ -341,7 +343,6 @@ class Store:
             self.store_bytes += size
             self.devices.append((cmap, rates, store))
         self.rng = np.random.default_rng([self.seed, 1])
-        self.fixed = None
 
     def _input(self, device, measured):
         """(device, measured, local counts, register-wide counts).
@@ -386,41 +387,37 @@ class Store:
             local = _narrow(out.entries, measured)
             width = n if measured is None else len(measured)
             op.one_norm_cmc = reference.ghz_one_norm(local, width)
-            # inputs repeated across rounds must mitigate to the same output
-            for i, fixed in enumerate(self.fixed or ()):
-                if entry is fixed:
-                    seen = self.first.setdefault(i, (len(out.entries), op.one_norm_cmc))
-                    _check(seen == (len(out.entries), op.one_norm_cmc),
-                           f"mitigate {measured or 'all'}: rerun differs")
             shots = sum(counts.values())
             self.bare.append(reference.ghz_one_norm(
                 {k: v / shots for k, v in counts.items()}, width))
             self.cmc.append(op.one_norm_cmc)
 
     def probe(self, device, measured):
-        """Mitigate with an exact per-qubit store and compare with the
-        Kronecker oracle built from the rates alone."""
+        """Mitigate two count sets on one layout with an exact per-qubit store
+        and compare each with the Kronecker oracle built from the rates alone;
+        the second call also shows that an output follows its own input."""
         cmap, rates, _ = device
         n = cmap.num_qubits
         rng = np.random.default_rng([self.seed, 2])
         store = exact_probe_store(cmap, rates)
-        counts = reference.sample_ghz_counts(n, rates, (), 0.0, CIRCUIT_SHOTS, rng, measured)
         qubits = tuple(range(n)) if measured is None else tuple(measured)
-        shots = sum(counts.values())
-        got = store.mitigate(
-            cmcal.Distribution.from_counts(_widen(counts, measured, n), n), measured=measured)
-        want = reference.kron_mitigate(rates, qubits, {k: v / shots for k, v in counts.items()})
-        vec = np.zeros_like(want)
-        for key, value in _narrow(got.entries, measured).items():
-            vec[int(key, 2)] = value
-        err = float(np.abs(vec - want).sum())
-        _check(err <= PROBE_TOL, f"probe {qubits}: one-norm to oracle {err:.3e}")
-        return err
+        for _ in range(2):
+            counts = reference.sample_ghz_counts(n, rates, (), 0.0, CIRCUIT_SHOTS, rng, measured)
+            shots = sum(counts.values())
+            got = store.mitigate(
+                cmcal.Distribution.from_counts(_widen(counts, measured, n), n), measured=measured)
+            want = reference.kron_mitigate(
+                rates, qubits, {k: v / shots for k, v in counts.items()})
+            vec = np.zeros_like(want)
+            for key, value in _narrow(got.entries, measured).items():
+                vec[int(key, 2)] = value
+            err = float(np.abs(vec - want).sum())
+            _check(err <= PROBE_TOL, f"probe {qubits}: one-norm to oracle {err:.3e}")
 
     def finish(self):
-        _check(self.cmc and statistics.fmean(self.cmc) < statistics.fmean(self.bare),
-               f"mean mitigated one-norm {statistics.fmean(self.cmc):.4f} !< bare "
-               f"{statistics.fmean(self.bare):.4f}")
+        _check(self.cmc, "no mitigation call succeeded")
+        bare, cmc = statistics.fmean(self.bare), statistics.fmean(self.cmc)
+        _check(cmc < bare, f"mean mitigated one-norm {cmc:.4f} !< bare {bare:.4f}")
 
 
 class FullStore(Store):
@@ -437,6 +434,7 @@ class FullStore(Store):
 # The hot layouts are a fixed pool, like the device, with sizes whose mean is
 # that of the fresh layouts' sizes drawn from 4..10: the seed would otherwise
 # move both cost and accuracy through the four layouts half of the calls use.
+# The half share is the benchmark's choice, not taken from device traffic.
 HOT_SIZES = (4, 6, 8, 10)
 FRESH_LAYOUTS = 4
 
@@ -451,27 +449,37 @@ def connected_subset(cmap, size, rng):
 
 
 class SubsetStore(Store):
-    """Half of every round's calls mitigate the same counts on one of four
-    hot layouts from a fixed pool; the other half measure a fresh layout
-    each, with fresh counts."""
+    """Half of every round's calls measure one of four hot layouts from a
+    fixed pool, the other half a fresh layout each.  Every call mitigates
+    fresh counts, as a layout run again on a device reads new shots."""
 
     def setup(self):
         super().setup()
         cmap = self.devices[0][0]
         layout_rng = np.random.default_rng([DEVICE_SEED, cmap.num_qubits, 3])
         self.hot = [connected_subset(cmap, size, layout_rng) for size in HOT_SIZES]
+        self.replay = None
 
     def inputs(self):
         device = self.devices[0]
-        if self.fixed is None:
-            self.fixed = [self._input(device, m) for m in self.hot]
         fresh = [connected_subset(device[0], int(self.rng.integers(4, 11)), self.rng)
                  for _ in range(FRESH_LAYOUTS)]
-        fresh = [self._input(device, m) for m in fresh]
-        return [x for pair in zip(self.fixed, fresh) for x in pair]
+        return [self._input(device, m) for pair in zip(self.hot, fresh) for m in pair]
+
+    def check(self, ops, outputs, inputs):
+        super().check(ops, outputs, inputs)
+        if self.replay is None:
+            self.replay = next(((entry, out.entries) for entry, out in zip(inputs, outputs)
+                                if out is not None), None)
 
     def finish(self):
         super().finish()
+        # the run's first mitigated input, after every other call, must
+        # mitigate to the same output again
+        (device, measured, _, wide), want = self.replay
+        again = device[2].mitigate(
+            cmcal.Distribution.from_counts(wide, device[0].num_qubits), measured=measured)
+        _check(again.entries == want, f"mitigate {measured}: rerun differs")
         self.probe(self.devices[0], connected_subset(
             self.devices[0][0], 8, np.random.default_rng([self.seed, 4])))
 
