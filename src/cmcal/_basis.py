@@ -30,14 +30,6 @@ def extract_bits(bits: str, support: tuple[int, ...]) -> str:
     return "".join(bits[q] for q in support)
 
 
-def merge_bits(bits: str, support: tuple[int, ...], pattern: str) -> str:
-    """Overwrite the support positions of a register string with ``pattern``."""
-    out = list(bits)
-    for q, c in zip(support, pattern):
-        out[q] = c
-    return "".join(out)
-
-
 def support_mask(support: tuple[int, ...], n: int) -> int:
     mask = 0
     for q in support:

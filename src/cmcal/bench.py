@@ -401,6 +401,14 @@ class CalibrationStore:
         return tuple(sorted({q for m in self.matrices for q in m.support} | set(self.singles)))
 
     def mitigate(self, dist: Distribution, measured=None, cull_threshold=DEFAULT_CULL) -> Distribution:
+        """Mitigate ``dist`` with the stored patches joined over ``measured``.
+
+        Count keys stay register-wide even when ``measured`` names a subset:
+        ``dist.n`` is the register size and the unmeasured positions are
+        placeholders.  Measured-width keys, such as those of
+        ``NoiseModel.sample(..., measured=...)``, must be scattered back into
+        register positions first.
+        """
         if measured is None:
             measured = range(dist.n)
         forward = assemble_for_measured(self.matrices, measured, singles=self.singles or None)

@@ -18,15 +18,17 @@ channel exactly; in general it is the patched approximation.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from ._basis import (
     bits_to_index,
     extract_bits,
+    extract_index,
     index_to_bits,
-    merge_bits,
+    scatter_index,
     support_mask,
 )
 
@@ -39,6 +41,7 @@ RIDGE_EPS = 1e-8
 DEFAULT_CULL = 1e-12
 
 _MAX_DENSE_QUBITS = 14
+MAX_REGISTER_QUBITS = 64  # register indices are packed into uint64
 
 
 class CalibrationError(ValueError):
@@ -72,6 +75,8 @@ def _as_square(entries) -> np.ndarray:
 
 
 def _check_column_stochastic(arr: np.ndarray, tol: float = COLUMN_TOL) -> None:
+    if not np.isfinite(arr).all():
+        raise CalibrationError("non-finite entry in calibration matrix")
     if arr.min() < -tol:
         raise CalibrationError(f"negative entry {arr.min():.3e} in calibration matrix")
     sums = arr.sum(axis=0)
@@ -217,30 +222,6 @@ class Distribution:
             sub = extract_bits(key, sup)
             out[sub] = out.get(sub, 0.0) + value
         return Distribution(out, len(sup))
-
-
-@dataclass(frozen=True)
-class JoinPlan:
-    """Canonical shared-qubit order assignment for a list of patches.
-
-    ``orders[i][q] = (v, v_a)`` for each qubit ``q`` of patch ``i``: the
-    qubit appears in ``v`` patches and this patch holds slot ``v_a`` in the
-    patch-list order.  Factors must be applied in patch-list order so that
-    every shared qubit sees its fractional powers in ascending ``v_a``.
-    """
-
-    patches: tuple[tuple[int, ...], ...]
-    orders: tuple[dict[int, tuple[int, int]], ...]
-
-    @property
-    def shared(self) -> dict[int, tuple[int, dict[int, int]]]:
-        out: dict[int, tuple[int, dict[int, int]]] = {}
-        for idx, per_patch in enumerate(self.orders):
-            for q, (v, v_a) in per_patch.items():
-                if v > 1:
-                    entry = out.setdefault(q, (v, {}))
-                    entry[1][idx] = v_a
-        return out
 
 
 @dataclass(frozen=True)
@@ -501,82 +482,43 @@ def _adjusted_factor(mat: CalibrationMatrix, orders: dict[int, tuple[int, int]])
 # ---------------------------------------------------------------------------
 # joining
 
-def make_join_plan(supports) -> JoinPlan:
-    """Assign shared-qubit multiplicities and order slots in patch-list order."""
-    patches = tuple(_as_support(s) for s in supports)
-    if len(set(patches)) != len(patches):
-        raise CalibrationError("duplicate patch supports")
-    for a in patches:
-        for b in patches:
-            if a < b and len(set(a) & set(b)) > 1:
-                raise CalibrationError(f"patches {a} and {b} share more than one qubit")
-    multiplicity: dict[int, int] = {}
-    for sup in patches:
-        for q in sup:
-            multiplicity[q] = multiplicity.get(q, 0) + 1
-    slot: dict[int, int] = {}
-    orders = []
-    for sup in patches:
-        per_patch: dict[int, tuple[int, int]] = {}
-        for q in sup:
-            v_a = slot.get(q, 0)
-            per_patch[q] = (multiplicity[q], v_a)
-            slot[q] = v_a + 1
-        orders.append(per_patch)
-    return JoinPlan(patches, tuple(orders))
-
-
-def _check_patches_against_plan(patches, plan: JoinPlan):
-    supports = tuple(mat.support for mat in patches)
-    if supports != plan.patches:
-        raise CalibrationError("patch supports do not match the join plan")
-
-
-def join(patches, plan: JoinPlan | None = None) -> SparseCalibration:
-    """Order-adjusted forward model of a set of overlapping patches.
-
-    Patch matrices must cover every register qubit they mention; the factor
-    list preserves patch order, which is what makes the shared-qubit powers
-    telescope (see :func:`order_adjust`).
-    """
-    patches = [m if isinstance(m, CalibrationMatrix) else CalibrationMatrix(*m) for m in patches]
-    if plan is None:
-        plan = make_join_plan([m.support for m in patches])
-    _check_patches_against_plan(patches, plan)
-    factors = []
-    for mat, orders in zip(patches, plan.orders):
-        factors.append((mat.support, _adjusted_factor(mat, orders)))
-    return SparseCalibration(tuple(factors), "forward")
-
-
 def assemble_for_measured(
     patches,
     measured,
-    plan: JoinPlan | None = None,
     singles: dict[int, CalibrationMatrix] | None = None,
 ) -> SparseCalibration:
-    """Forward factors for a partial measurement.
+    """Order-adjusted forward model of overlapping patches, for the measured qubits.
 
-    Patches fully inside the measured set are order-adjusted and kept;
-    patches that straddle the boundary contribute the ``1/v`` fractional
-    power of their marginal on the measured qubit, merged into one factor
-    per qubit; patches fully outside are dropped.  Multiplicities count the
-    surviving patches only.  A measured qubit no surviving patch touches
-    falls back to its entry in ``singles`` or, failing that, to an identity
-    factor (logged, since it leaves that qubit unmitigated).
+    Patches fully inside the measured set are order-adjusted and kept in
+    patch-list order, which is what makes the shared-qubit powers telescope
+    (see :func:`order_adjust`); patches that straddle the boundary
+    contribute the ``1/v`` fractional power of their marginal on the
+    measured qubit, merged into one factor per qubit; patches fully outside
+    are dropped.  Multiplicities count the surviving patches only.  A
+    measured qubit no surviving patch touches falls back to its entry in
+    ``singles`` or, failing that, to an identity factor (logged, since it
+    leaves that qubit unmitigated).  Patch supports must be distinct and
+    share at most one qubit pairwise.
     """
     patches = [m if isinstance(m, CalibrationMatrix) else CalibrationMatrix(*m) for m in patches]
-    if plan is None:
-        plan = make_join_plan([m.support for m in patches])
-    _check_patches_against_plan(patches, plan)
+    supports = [m.support for m in patches]
+    if len(set(supports)) != len(supports):
+        raise CalibrationError("duplicate patch supports")
+    owner: dict[tuple[int, int], tuple[int, ...]] = {}
+    for sup in supports:
+        for pair in combinations(sup, 2):
+            if pair in owner:
+                raise CalibrationError(
+                    f"patches {owner[pair]} and {sup} share more than one qubit"
+                )
+            owner[pair] = sup
     measured_set = frozenset(int(q) for q in measured)
     if not measured_set:
         raise CalibrationError("measured set is empty")
 
-    survivors = [m for m in patches if set(m.support) & measured_set]
     multiplicity: dict[int, int] = {}
-    for mat in survivors:
-        for q in mat.support:
+    for sup in supports:
+        for q in sup:
             if q in measured_set:
                 multiplicity[q] = multiplicity.get(q, 0) + 1
 
@@ -665,6 +607,10 @@ def apply(
     n = dist.n
     if not dist.entries:
         raise CalibrationError("empty distribution")
+    if n > MAX_REGISTER_QUBITS:
+        raise CalibrationError(
+            f"register of {n} qubits exceeds the {MAX_REGISTER_QUBITS}-qubit index bound"
+        )
     for support, _ in cal.factors:
         if max(support) >= n:
             raise CalibrationError(f"factor support {support} exceeds register {n}")
@@ -691,22 +637,16 @@ def apply(
 
 
 def _apply_factor(idx, weights, support, arr, n):
-    p = len(support)
-    dim = 1 << p
-    local = np.zeros_like(idx)
-    for pos, q in enumerate(support):
-        local |= ((idx >> np.uint64(n - 1 - q)) & np.uint64(1)) << np.uint64(p - 1 - pos)
+    local = extract_index(idx, support, n).astype(np.int64)
     cleared = idx & np.uint64(~support_mask(support, n) & ((1 << n) - 1))
     out_idx = []
     out_w = []
-    local = local.astype(np.int64)
-    for row in range(dim):
+    for row in range(1 << len(support)):
         coeff = arr[row, local]
         nz = coeff != 0.0
         if not nz.any():
             continue
-        placed = np.uint64(support_mask_bits(row, support, n))
-        out_idx.append(cleared[nz] | placed)
+        out_idx.append(cleared[nz] | np.uint64(scatter_index(row, support, n)))
         out_w.append(coeff[nz] * weights[nz])
     if not out_idx:
         return np.empty(0, dtype=np.uint64), np.empty(0)
@@ -716,13 +656,3 @@ def _apply_factor(idx, weights, support, arr, n):
     summed = np.zeros(uniq.size)
     np.add.at(summed, inverse, all_w)
     return uniq, summed
-
-
-def support_mask_bits(local: int, support: tuple[int, ...], n: int) -> int:
-    """Register index with the support positions set to the local pattern."""
-    p = len(support)
-    out = 0
-    for pos, q in enumerate(support):
-        if (local >> (p - 1 - pos)) & 1:
-            out |= 1 << (n - 1 - q)
-    return out

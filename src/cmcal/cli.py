@@ -98,6 +98,9 @@ def _cmd_mitigate(args):
     with open(args.counts) as fh:
         doc = json.load(fh)
     counts = doc["counts"] if isinstance(doc, dict) and "counts" in doc else doc
+    if not counts:
+        print(f"counts file {args.counts} holds no counts", file=sys.stderr)
+        return 1
     n = len(next(iter(counts)))
     observed = Distribution.from_counts({k: int(v) for k, v in counts.items()}, n)
     mitigated = store.mitigate(observed)

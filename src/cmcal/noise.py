@@ -77,6 +77,8 @@ class MeasurementChannel:
         dim = 1 << len(support)
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match support {support}")
+        if not np.isfinite(mat).all():
+            raise ValueError("channel entries must be finite")
         if mat.min() < 0.0:
             raise ValueError("channel entries must be nonnegative")
         if np.abs(mat.sum(axis=0) - 1.0).max() > CHANNEL_COL_TOL:
@@ -255,15 +257,20 @@ class NoiseModel:
     def from_spec(cls, num_qubits, spec):
         return cls(num_qubits, spec.channels(num_qubits))
 
-    def _firing(self, measured):
-        fire = [ch for ch in self.channels if set(ch.support) <= set(measured)]
+    def _corrupt_region(self, dist, region):
+        """Exact corruption of ``dist``'s marginal on the ascending ``region``
+        by the channels whose supports lie inside it."""
+        sub = dist.marginal(region) if len(region) < dist.n else dist
+        pos = {q: i for i, q in enumerate(region)}
         # last listed acts first, matching the dense composite product
-        pos = {q: i for i, q in enumerate(measured)}
         factors = tuple(
             (tuple(pos[q] for q in ch.support), np.asarray(ch.matrix))
-            for ch in reversed(fire)
+            for ch in reversed(self.channels)
+            if pos.keys() >= set(ch.support)
         )
-        return factors
+        if not factors:
+            return sub
+        return apply_channels(SparseCalibration(factors, "forward"), sub, cull_threshold=0.0)
 
     def corrupted(self, ideal, measured=None):
         """Exact observed distribution for a (subset) measurement."""
@@ -278,12 +285,7 @@ class NoiseModel:
             measured = tuple(int(q) for q in measured)
             if list(measured) != sorted(set(measured)):
                 raise ValueError("measured qubits must be strictly ascending")
-        sub = dist.marginal(measured) if len(measured) < dist.n else dist
-        factors = self._firing(measured)
-        if not factors:
-            return sub
-        cal = SparseCalibration(factors, "forward")
-        return apply_channels(cal, sub, cull_threshold=0.0)
+        return self._corrupt_region(dist, measured)
 
     def marginal_after_noise(self, ideal, keep):
         """Marginal over ``keep`` of the fully measured corrupted distribution.
@@ -302,17 +304,8 @@ class NoiseModel:
                     closure |= sup
                     grew = True
         region = tuple(sorted(closure))
-        dist = _dist_of(ideal)
-        sub = dist.marginal(region)
-        pos = {q: i for i, q in enumerate(region)}
-        fire = [ch for ch in self.channels if set(ch.support) <= closure]
-        factors = tuple(
-            (tuple(pos[q] for q in ch.support), np.asarray(ch.matrix))
-            for ch in reversed(fire)
-        )
-        if factors:
-            sub = apply_channels(SparseCalibration(factors, "forward"), sub, 0.0)
-        return sub.marginal(tuple(pos[q] for q in keep))
+        sub = self._corrupt_region(_dist_of(ideal), region)
+        return sub.marginal(tuple(region.index(q) for q in keep))
 
     def sample(self, ideal, shots, seed, measured=None):
         """Seeded multinomial counts from the corrupted distribution."""

@@ -30,7 +30,7 @@ from .calibration import (
     invert,
     normalized_partial_trace,
 )
-from .noise import IdealDistribution, sample_distribution
+from .noise import _as_rng, _dist_of, sample_distribution
 from .topology import (
     candidate_pairs,
     correlation_weights,
@@ -59,12 +59,6 @@ __all__ = [
 
 METHODS = ("bare", "full", "linear", "cmc", "cmc_err", "aim", "sim", "jigsaw")
 FULL_MAX_QUBITS = 14
-
-
-def _as_rng(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -117,10 +111,6 @@ class MethodResult:
         return sum(self.shots_used.values())
 
 
-def _dist_of(circuit):
-    return circuit.distribution if isinstance(circuit, IdealDistribution) else circuit
-
-
 def _check_register(dist, noise, n):
     if n is None:
         n = dist.n
@@ -129,6 +119,16 @@ def _check_register(dist, noise, n):
             f"register mismatch: circuit {dist.n}, noise {noise.num_qubits}, n {n}"
         )
     return n
+
+
+def _split_budget(budget, circuits):
+    """Shots per calibration circuit and payload shots; both None in exact mode."""
+    if budget is None:
+        return None, None
+    cal_shots, circuit_shots = budget.split()
+    if cal_shots < circuits:
+        raise ValueError(f"budget too small: {cal_shots} shots for {circuits} circuits")
+    return cal_shots // circuits, circuit_shots
 
 
 def _observe(noise, dist, shots, rng, measured=None):
@@ -185,13 +185,7 @@ def run_full(circuit, noise, budget, n=None, seed=0, force=False):
         )
     dim = 1 << n
     rng = _as_rng(seed)
-    if budget is None:
-        r, circuit_shots = None, None
-    else:
-        cal_shots, circuit_shots = budget.split()
-        r = cal_shots // dim
-        if r < 1:
-            raise ValueError(f"budget too small: {cal_shots} shots for {dim} circuits")
+    r, circuit_shots = _split_budget(budget, dim)
     matrix = np.zeros((dim, dim))
     for col in range(dim):
         prep = Distribution.point_mass(index_to_bits(col, n))
@@ -220,40 +214,26 @@ def run_full(circuit, noise, budget, n=None, seed=0, force=False):
     )
 
 
+def _single_qubit_matrices(noise, n, shots, rng):
+    """Per-qubit matrices from the two circuits 0...0 and 1...1."""
+    columns = {q: np.zeros((2, 2)) for q in range(n)}
+    for bit, pattern in enumerate(("0" * n, "1" * n)):
+        observed = _observe(noise, Distribution.point_mass(pattern), shots, rng)
+        for q in range(n):
+            marg = observed.marginal((q,))
+            columns[q][:, bit] = [marg.entries.get("0", 0.0), marg.entries.get("1", 0.0)]
+    return {q: CalibrationMatrix((q,), arr) for q, arr in columns.items()}
+
+
 def run_linear(circuit, noise, budget, n=None, seed=0):
     """Per-qubit calibration from the two circuits 0...0 and 1...1."""
     dist = _dist_of(circuit)
     n = _check_register(dist, noise, n)
     rng = _as_rng(seed)
-    if budget is None:
-        r, circuit_shots = None, None
-    else:
-        cal_shots, circuit_shots = budget.split()
-        r = cal_shots // 2
-        if r < 1:
-            raise ValueError("budget too small for two calibration circuits")
-    columns = {}
-    for bit, pattern in enumerate(("0" * n, "1" * n)):
-        prep = Distribution.point_mass(pattern)
-        if r is None:
-            for q in range(n):
-                marg = noise.marginal_after_noise(prep, (q,))
-                columns.setdefault(q, np.zeros((2, 2)))[:, bit] = [
-                    marg.entries.get("0", 0.0),
-                    marg.entries.get("1", 0.0),
-                ]
-        else:
-            observed = _observe(noise, prep, r, rng)
-            for q in range(n):
-                marg = observed.marginal((q,))
-                columns.setdefault(q, np.zeros((2, 2)))[:, bit] = [
-                    marg.entries.get("0", 0.0),
-                    marg.entries.get("1", 0.0),
-                ]
-    factors = tuple(((q,), columns[q]) for q in range(n))
-    inverse = invert(SparseCalibration(factors, "forward"))
-    observed = _observe(noise, dist, circuit_shots, rng)
-    mitigated = apply(inverse, observed)
+    r, circuit_shots = _split_budget(budget, 2)
+    singles = _single_qubit_matrices(noise, n, r, rng)
+    inverse = invert(SparseCalibration(tuple((m.support, m.entries) for m in singles.values())))
+    mitigated = apply(inverse, _observe(noise, dist, circuit_shots, rng))
     return MethodResult(
         "linear",
         mitigated,
@@ -445,8 +425,8 @@ def run_jigsaw(circuit, noise, budget, n=None, patch_count=None, epsilon=0.0, se
 # --- coupling-map calibration -------------------------------------------------------
 
 
-def _estimate_patches(noise, groups, shots_per_circuit, rng):
-    """Per-patch matrices from merged group circuits.
+def _estimate_patches(noise, plan, shots_per_circuit, rng):
+    """One CalibrationMatrix per plan patch, in plan order, from merged group circuits.
 
     Group circuits prepare every patch of a group at once and measure the
     whole register.  Each patch's column is the exact marginal of the
@@ -456,7 +436,7 @@ def _estimate_patches(noise, groups, shots_per_circuit, rng):
     """
     n = noise.num_qubits
     blocks = {}
-    for group in groups:
+    for group in plan.groups:
         for col, assignment in enumerate(group_preparation_circuits(group)):
             bits = "".join("1" if assignment.get(q, 0) else "0" for q in range(n))
             prep = Distribution.point_mass(bits)
@@ -472,7 +452,20 @@ def _estimate_patches(noise, groups, shots_per_circuit, rng):
                     for key, c in counts.items():
                         column[bits_to_index(key)] = c / shots_per_circuit
                 blocks.setdefault(patch, np.zeros((dim, dim)))[:, col] = column
-    return {sup: CalibrationMatrix(sup, arr) for sup, arr in blocks.items()}
+    return [CalibrationMatrix(p, blocks[p]) for p in plan.patches]
+
+
+def _mitigate_with_plan(noise, dist, plan, shots_per_circuit, circuit_shots, rng,
+                        cull_threshold, singles=None):
+    """Estimate the plan's patches, join them over the register, invert the
+    join, and apply the inverse to the observed circuit distribution."""
+    patches = _estimate_patches(noise, plan, shots_per_circuit, rng)
+    inverse = invert(assemble_for_measured(patches, range(dist.n), singles))
+    return apply(inverse, _observe(noise, dist, circuit_shots, rng), cull_threshold)
+
+
+def _num_circuits(plan):
+    return sum(1 << len(g[0]) for g in plan.groups)
 
 
 def calibrate_patches(noise, plan, shots_per_circuit=None, seed=0):
@@ -483,8 +476,7 @@ def calibrate_patches(noise, plan, shots_per_circuit=None, seed=0):
     marginal taken from the first patch containing it, usable as a fallback
     factor for qubits a later assembly leaves uncovered.
     """
-    estimated = _estimate_patches(noise, plan.groups, shots_per_circuit, _as_rng(seed))
-    ordered = [estimated[p] for p in plan.patches]
+    ordered = _estimate_patches(noise, plan, shots_per_circuit, _as_rng(seed))
     singles = {}
     for mat in ordered:
         for q in mat.support:
@@ -493,46 +485,22 @@ def calibrate_patches(noise, plan, shots_per_circuit=None, seed=0):
     return ordered, singles
 
 
-def run_cmc(
-    circuit,
-    noise,
-    budget,
-    cmap,
-    separation=1,
-    cull_threshold=DEFAULT_CULL,
-    seed=0,
-    plan=None,
-):
+def run_cmc(circuit, noise, budget, cmap, separation=1, cull_threshold=DEFAULT_CULL, seed=0):
     """Patch-grouped calibration over the coupling map, joined and inverted."""
     dist = _dist_of(circuit)
-    n = _check_register(dist, noise, cmap.num_qubits)
-    if plan is None:
-        plan = greedy_patch_plan(cmap, separation)
-    groups = plan.groups
-    num_circuits = sum(1 << len(g[0]) for g in groups)
+    _check_register(dist, noise, cmap.num_qubits)
+    plan = greedy_patch_plan(cmap, separation)
+    num_circuits = _num_circuits(plan)
     rng = _as_rng(seed)
-    if budget is None:
-        r, circuit_shots = None, None
-    else:
-        cal_shots, circuit_shots = budget.split()
-        r = cal_shots // num_circuits
-        if r < 1:
-            raise ValueError(
-                f"budget too small: {cal_shots} shots for {num_circuits} circuits"
-            )
-    estimated = _estimate_patches(noise, groups, r, rng)
-    ordered = [estimated[p] for p in plan.patches]
-    assembled = assemble_for_measured(ordered, tuple(range(n)))
-    inverse = invert(assembled)
-    observed = _observe(noise, dist, circuit_shots, rng)
-    mitigated = apply(inverse, observed, cull_threshold)
+    r, circuit_shots = _split_budget(budget, num_circuits)
+    mitigated = _mitigate_with_plan(noise, dist, plan, r, circuit_shots, rng, cull_threshold)
     return MethodResult(
         "cmc",
         mitigated,
         {"calibration": (r or 0) * num_circuits, "circuit": circuit_shots or 0},
         {
             "circuits": {"calibration": num_circuits, "circuit": 1},
-            "groups": len(groups),
+            "groups": len(plan.groups),
             "patches": len(plan.patches),
         },
     )
@@ -566,7 +534,7 @@ def run_cmc_err(
     rng = _as_rng(seed)
     pairs = candidate_pairs(cmap, locality)
     matchings = group_patches(cmap, pairs, 0)
-    prepass_circuits = 2 + sum(1 << len(g[0]) for g in matchings.groups)
+    prepass_circuits = 2 + _num_circuits(matchings)
     if budget is None:
         r_pre, r_cal, circuit_shots = None, None, None
     else:
@@ -579,27 +547,13 @@ def run_cmc_err(
                 "pre-pass circuits"
             )
 
-    singles = {}
-    for bit, pattern in enumerate(("0" * n, "1" * n)):
-        prep = Distribution.point_mass(pattern)
-        if r_pre is None:
-            observed = noise.corrupted(prep)
-        else:
-            observed = _observe(noise, prep, r_pre, rng)
-        for q in range(n):
-            marg = observed.marginal((q,))
-            singles.setdefault(q, np.zeros((2, 2)))[:, bit] = [
-                marg.entries.get("0", 0.0),
-                marg.entries.get("1", 0.0),
-            ]
-    singles = {q: CalibrationMatrix((q,), arr) for q, arr in singles.items()}
-
-    pair_mats = _estimate_patches(noise, matchings.groups, r_pre, rng)
+    singles = _single_qubit_matrices(noise, n, r_pre, rng)
+    pair_mats = {m.support: m for m in _estimate_patches(noise, matchings, r_pre, rng)}
     weights = correlation_weights(singles, pair_mats, locality)
     selected = err_map(weights, n if max_edges is None else max_edges)
 
     plan = group_patches(cmap, selected.edges, separation)
-    num_circuits = sum(1 << len(g[0]) for g in plan.groups)
+    num_circuits = _num_circuits(plan)
     if budget is not None:
         remaining = cal_shots - r_pre * prepass_circuits
         r_cal = remaining // num_circuits
@@ -607,12 +561,9 @@ def run_cmc_err(
             raise ValueError(
                 f"budget too small: {remaining} shots for {num_circuits} circuits"
             )
-    estimated = _estimate_patches(noise, plan.groups, r_cal, rng)
-    ordered = [estimated[p] for p in plan.patches]
-    assembled = assemble_for_measured(ordered, tuple(range(n)), singles=singles)
-    inverse = invert(assembled)
-    observed = _observe(noise, dist, circuit_shots, rng)
-    mitigated = apply(inverse, observed, cull_threshold)
+    mitigated = _mitigate_with_plan(
+        noise, dist, plan, r_cal, circuit_shots, rng, cull_threshold, singles
+    )
     return MethodResult(
         "cmc_err",
         mitigated,
@@ -655,25 +606,24 @@ _OPTION_KEYS = {
 }
 
 
+# Every runner takes (circuit, noise, budget, cmap, **options).  The lambdas
+# look each run_* function up when called, so rebinding one in this module
+# (to wrap or trace it) reaches run_method too.
+_RUNNERS = {
+    "bare": lambda c, noise, b, cmap, **kw: run_bare(c, noise, b, **kw),
+    "full": lambda c, noise, b, cmap, **kw: run_full(c, noise, b, **kw),
+    "linear": lambda c, noise, b, cmap, **kw: run_linear(c, noise, b, **kw),
+    "sim": lambda c, noise, b, cmap, **kw: run_sim(c, noise, b, **kw),
+    "aim": lambda c, noise, b, cmap, **kw: run_aim(c, noise, b, **kw),
+    "jigsaw": lambda c, noise, b, cmap, **kw: run_jigsaw(c, noise, b, **kw),
+    "cmc": lambda c, noise, b, cmap, **kw: run_cmc(c, noise, b, cmap, **kw),
+    "cmc_err": lambda c, noise, b, cmap, **kw: run_cmc_err(c, noise, b, cmap, **kw),
+}
+
+
 def run_method(config, circuit, noise, budget, cmap=None, seed=0):
-    """Dispatch a StrategyConfig to its runner."""
-    opts = dict(config.options)
-    method = config.method
-    if method in ("cmc", "cmc_err") and cmap is None:
-        raise ValueError(f"{method} requires a coupling map")
-    if method == "bare":
-        return run_bare(circuit, noise, budget, seed=seed)
-    if method == "full":
-        return run_full(circuit, noise, budget, seed=seed, **opts)
-    if method == "linear":
-        return run_linear(circuit, noise, budget, seed=seed)
-    if method == "sim":
-        return run_sim(circuit, noise, budget, seed=seed)
-    if method == "aim":
-        return run_aim(circuit, noise, budget, seed=seed, **opts)
-    if method == "jigsaw":
-        opts.setdefault("seed", seed)
-        return run_jigsaw(circuit, noise, budget, **opts)
-    if method == "cmc":
-        return run_cmc(circuit, noise, budget, cmap, seed=seed, **opts)
-    return run_cmc_err(circuit, noise, budget, cmap, seed=seed, **opts)
+    """Dispatch a StrategyConfig to its runner; a jigsaw ``seed`` option wins."""
+    if config.method in ("cmc", "cmc_err") and cmap is None:
+        raise ValueError(f"{config.method} requires a coupling map")
+    options = {"seed": seed, **config.options}
+    return _RUNNERS[config.method](circuit, noise, budget, cmap, **options)

@@ -19,8 +19,6 @@ from cmcal.calibration import (
     Distribution,
     assemble_for_measured,
     fractional_power,
-    join,
-    make_join_plan,
     normalized_partial_trace,
     order_adjust,
 )
@@ -164,7 +162,7 @@ def test_03_plaquette_join_of_independent_noise_is_a_tensor_product():
         CalibrationMatrix(e, np.kron(singles[e[0]], singles[e[1]])) for e in edges
     ]
     t0 = time.perf_counter()
-    joined = join(patches, make_join_plan([p.support for p in patches]))
+    joined = assemble_for_measured(patches, range(4))
     want = singles[0]
     for s in singles[1:]:
         want = np.kron(want, s)

@@ -156,6 +156,15 @@ def test_run_experiment_records_failures_without_aborting():
     assert bare_rec.error is None
 
 
+def test_run_experiment_records_registers_past_the_index_bound():
+    # register indices are packed into uint64, so 70 qubits cannot be mitigated
+    config = _config(architecture={"kind": "linear", "num_qubits": 70}, trials=2,
+                     methods=({"method": "bare"},))
+    records = run_experiment(config)
+    assert len(records) == 2
+    assert all(r.error is not None and "64" in r.error for r in records)
+
+
 def test_run_experiment_fixed_noise():
     spec = {
         "kind": "fixed",
@@ -280,3 +289,14 @@ def test_store_rejects_corruption(tmp_path):
             created="now",
             matrices=(),
         )
+
+
+def test_store_with_nan_entry_fails_to_load(tmp_path):
+    store, _ = _store_and_model()
+    path = tmp_path / "store.json"
+    store.save(path)
+    doc = json.loads(path.read_text())
+    doc["matrices"][0]["entries"][0][0] = float("nan")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(StoreError):
+        CalibrationStore.load(path)

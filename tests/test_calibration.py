@@ -17,8 +17,6 @@ from cmcal.calibration import (
     fractional_power,
     group_preparation_circuits,
     invert,
-    join,
-    make_join_plan,
     normalize_columns,
     normalized_partial_trace,
     order_adjust,
@@ -76,6 +74,14 @@ def test_calibration_matrix_validates_columns():
         CalibrationMatrix((1, 0), np.eye(4))
     with pytest.raises(CalibrationError):
         CalibrationMatrix((0, 1), np.eye(2))
+
+
+def test_calibration_matrix_rejects_non_finite_entries():
+    # every comparison with NaN is false, so a range check alone lets it through
+    with pytest.raises(CalibrationError, match="non-finite"):
+        CalibrationMatrix((0,), [[np.nan, 0.0], [np.nan, 1.0]])
+    with pytest.raises(CalibrationError, match="non-finite"):
+        CalibrationMatrix((0,), [[np.inf, 0.0], [-np.inf, 1.0]])
 
 
 def test_calibration_matrix_entries_frozen():
@@ -275,18 +281,16 @@ def test_order_adjust_validates_arguments():
 # --- joining -----------------------------------------------------------------
 
 
-def test_make_join_plan_assigns_slots_in_patch_order():
-    plan = make_join_plan([(0, 1), (1, 2), (2, 3)])
-    assert plan.orders[0][1] == (2, 0)
-    assert plan.orders[1][1] == (2, 1)
-    assert plan.orders[1][2] == (2, 0)
-    assert plan.orders[2][2] == (2, 1)
-    assert plan.orders[0][0] == (1, 0)
-    assert plan.shared == {1: (2, {0: 0, 1: 1}), 2: (2, {1: 0, 2: 1})}
-    with pytest.raises(CalibrationError):
-        make_join_plan([(0, 1), (0, 1)])
-    with pytest.raises(CalibrationError):
-        make_join_plan([(0, 1, 2), (1, 2, 3)])
+def test_assemble_rejects_duplicate_and_double_overlap_patches():
+    pair = CalibrationMatrix((0, 1), np.eye(4))
+    with pytest.raises(CalibrationError, match="duplicate"):
+        assemble_for_measured([pair, pair], range(2))
+    triples = [CalibrationMatrix((0, 1, 2), np.eye(8)), CalibrationMatrix((1, 2, 3), np.eye(8))]
+    with pytest.raises(CalibrationError, match="more than one qubit"):
+        assemble_for_measured(triples, range(4))
+    # sharing one qubit is the normal overlap and is accepted
+    chain = [CalibrationMatrix((0, 1), np.eye(4)), CalibrationMatrix((1, 2), np.eye(4))]
+    assert len(assemble_for_measured(chain, range(3)).factors) == 2
 
 
 def test_join_chain_reproduces_independent_noise():
@@ -296,7 +300,7 @@ def test_join_chain_reproduces_independent_noise():
         CalibrationMatrix((0, 1), np.kron(singles[0], singles[1])),
         CalibrationMatrix((1, 2), np.kron(singles[1], singles[2])),
     ]
-    cal = join(patches)
+    cal = assemble_for_measured(patches, range(3))
     want = np.kron(np.kron(singles[0], singles[1]), singles[2])
     assert np.allclose(cal.dense(3), want, atol=1e-9)
 
@@ -308,7 +312,7 @@ def test_join_square_plaquette_reproduces_independent_noise():
     patches = [
         CalibrationMatrix(s, np.kron(singles[s[0]], singles[s[1]])) for s in supports
     ]
-    cal = join(patches)
+    cal = assemble_for_measured(patches, range(4))
     want = np.kron(np.kron(singles[0], singles[1]), np.kron(singles[2], singles[3]))
     assert np.max(np.abs(cal.dense(4) - want)) < 1e-8
 
@@ -326,7 +330,7 @@ def test_join_exact_on_disjoint_edge_matching():
         CalibrationMatrix((1, 2), np.kron(m1, m2)),
         CalibrationMatrix((2, 3), m23),
     ]
-    cal = join(patches)
+    cal = assemble_for_measured(patches, range(4))
     truth = np.kron(m01, m23)
     assert np.linalg.norm(cal.dense(4) - truth) < 1e-9
 
@@ -338,7 +342,7 @@ def test_joined_factors_stay_column_stochastic_in_product():
         CalibrationMatrix((1, 2), random_stochastic(rng, 4)),
         CalibrationMatrix((2, 3), random_stochastic(rng, 4)),
     ]
-    dense = join(patches).dense(4)
+    dense = assemble_for_measured(patches, range(4)).dense(4)
     assert np.allclose(dense.sum(axis=0), 1.0, atol=1e-8)
 
 
@@ -357,19 +361,6 @@ def test_assemble_single_measured_qubit_merges_straddles():
     support, arr = cal.factors[0]
     assert support == (0,)
     assert np.allclose(arr, c0, atol=1e-8)
-
-
-def test_assemble_measured_everything_equals_join():
-    rng = np.random.default_rng(35)
-    patches = [
-        CalibrationMatrix((0, 1), random_stochastic(rng, 4)),
-        CalibrationMatrix((1, 2), random_stochastic(rng, 4)),
-    ]
-    full = assemble_for_measured(patches, {0, 1, 2})
-    joined = join(patches)
-    for (sa, fa), (sb, fb) in zip(full.factors, joined.factors):
-        assert sa == sb
-        assert np.allclose(fa, fb)
 
 
 def test_assemble_mixed_kept_and_straddling():
@@ -470,7 +461,7 @@ def test_apply_inverse_roundtrip():
         CalibrationMatrix((0, 1), random_stochastic(rng, 4)),
         CalibrationMatrix((1, 2), random_stochastic(rng, 4)),
     ]
-    forward = join(patches)
+    forward = assemble_for_measured(patches, range(3))
     dist = Distribution({"000": 0.5, "111": 0.3, "010": 0.2}, 3)
     corrupted = apply(forward, dist, cull_threshold=0.0)
     recovered = apply(invert(forward), corrupted, cull_threshold=0.0)
@@ -480,7 +471,7 @@ def test_apply_inverse_roundtrip():
 def test_apply_cull_threshold_stability():
     rng = np.random.default_rng(47)
     patches = [CalibrationMatrix((i, i + 1), random_stochastic(rng, 4)) for i in range(3)]
-    cal = invert(join(patches))
+    cal = invert(assemble_for_measured(patches, range(4)))
     dist = Distribution({"0000": 0.45, "1111": 0.45, "0101": 0.1}, 4)
     a = apply(cal, dist, cull_threshold=0.0)
     b = apply(cal, dist, cull_threshold=1e-12)

@@ -85,6 +85,14 @@ def test_mitigate_counts_file(tmp_path):
     assert one_norm(mitigated, ideal) < one_norm(raw, ideal)
 
 
+def test_mitigate_empty_counts_file(tmp_path, capsys):
+    store_path, _ = _calibrated_store(tmp_path)
+    counts_path = tmp_path / "counts.json"
+    counts_path.write_text("{}")
+    assert main(["mitigate", "--store", str(store_path), "--counts", str(counts_path)]) == 1
+    assert "no counts" in capsys.readouterr().err
+
+
 def _bench_config(tmp_path):
     config = {
         "architecture": {"kind": "linear", "num_qubits": 3},

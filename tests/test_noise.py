@@ -73,6 +73,13 @@ def test_joint_flip_exceeds_product_of_marginals():
     assert marg_first * marg_second < joint
 
 
+def test_channel_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="finite"):
+        MeasurementChannel((0,), [[np.nan, 0.0], [np.nan, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        MeasurementChannel((0,), [[np.inf, 0.0], [-np.inf, 1.0]])
+
+
 def test_channel_validation():
     with pytest.raises(ValueError):
         MeasurementChannel((1, 0), np.eye(4))
