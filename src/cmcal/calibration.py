@@ -92,6 +92,17 @@ def normalize_columns(arr: np.ndarray) -> np.ndarray:
     return arr / sums
 
 
+def _first_bad_key(keys, width):
+    """First key that is not a ``width``-character string of 0s and 1s, or None.
+
+    The common all-valid case is checked in two C-level passes: one over the
+    key lengths, one over the joined characters.
+    """
+    if not keys or (set(map(len, keys)) == {width} and not "".join(keys).strip("01")):
+        return None
+    return next(k for k in keys if len(k) != width or k.strip("01"))
+
+
 @dataclass(frozen=True)
 class CalibrationMatrix:
     """Column-stochastic matrix over a small ascending qubit support."""
@@ -144,10 +155,11 @@ class CountsRecord:
             raise CalibrationError(f"prepared pattern {self.prepared!r} does not fit support {sup}")
         if self.shots <= 0:
             raise CalibrationError("shots must be positive")
+        bad = _first_bad_key(self.counts, p)
+        if bad is not None:
+            raise CalibrationError(f"counts key {bad!r} does not fit support {sup}")
         total = 0
-        for key, value in self.counts.items():
-            if len(key) != p or any(c not in "01" for c in key):
-                raise CalibrationError(f"counts key {key!r} does not fit support {sup}")
+        for value in self.counts.values():
             if value < 0:
                 raise CalibrationError("negative count")
             total += value
@@ -190,9 +202,9 @@ class Distribution:
     def __post_init__(self):
         if self.n <= 0:
             raise CalibrationError("register size must be positive")
-        for key in self.entries:
-            if len(key) != self.n or any(c not in "01" for c in key):
-                raise CalibrationError(f"key {key!r} is not a {self.n}-bit string")
+        bad = _first_bad_key(self.entries, self.n)
+        if bad is not None:
+            raise CalibrationError(f"key {bad!r} is not a {self.n}-bit string")
 
     @classmethod
     def from_counts(cls, counts: dict[str, int], n: int) -> "Distribution":

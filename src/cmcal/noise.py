@@ -2,7 +2,12 @@
 
 Channels are column-stochastic matrices on small qubit supports.  A
 :class:`NoiseModel` holds an ordered set of channels over a register and
-corrupts ideal distributions exactly (sparse matvec) before seeded sampling.
+corrupts ideal distributions exactly before seeded sampling: on a dense
+float64 tensor with one axis per qubit of the measured region, each channel
+acting on its own axes, for regions of up to ``_DENSE_CORRUPT_QUBITS``
+qubits, and by the sparse ``calibration.apply`` over wider ones.  Samples
+are drawn straight from the tensor; bitstrings are formed only for drawn
+outcomes.
 
 Subset measurement: when only a subset of the register is measured, a channel
 fires only if its support lies entirely inside the measured set — correlated
@@ -48,6 +53,8 @@ __all__ = [
 
 CHANNEL_COL_TOL = 1e-12
 _DENSE_COMPOSE_QUBITS = 10
+# widest region corrupted on a dense tensor: 2^22 float64 entries are 32 MB
+_DENSE_CORRUPT_QUBITS = 22
 
 
 def _as_rng(seed):
@@ -257,43 +264,96 @@ class NoiseModel:
     def from_spec(cls, num_qubits, spec):
         return cls(num_qubits, spec.channels(num_qubits))
 
-    def _corrupt_region(self, dist, region):
-        """Exact corruption of ``dist``'s marginal on the ascending ``region``
-        by the channels whose supports lie inside it."""
-        sub = dist.marginal(region) if len(region) < dist.n else dist
-        pos = {q: i for i, q in enumerate(region)}
-        # last listed acts first, matching the dense composite product
-        factors = tuple(
-            (tuple(pos[q] for q in ch.support), np.asarray(ch.matrix))
-            for ch in reversed(self.channels)
-            if pos.keys() >= set(ch.support)
-        )
-        if not factors:
-            return sub
-        return apply_channels(SparseCalibration(factors, "forward"), sub, cull_threshold=0.0)
-
-    def corrupted(self, ideal, measured=None):
-        """Exact observed distribution for a (subset) measurement."""
+    def _dist(self, ideal):
         dist = _dist_of(ideal)
         if dist.n != self.num_qubits:
             raise CalibrationError(
                 f"distribution register {dist.n} does not match model {self.num_qubits}"
             )
-        if measured is None:
-            measured = tuple(range(self.num_qubits))
-        else:
-            measured = tuple(int(q) for q in measured)
-            if list(measured) != sorted(set(measured)):
-                raise ValueError("measured qubits must be strictly ascending")
-        return self._corrupt_region(dist, measured)
+        return dist
 
-    def marginal_after_noise(self, ideal, keep):
-        """Marginal over ``keep`` of the fully measured corrupted distribution.
+    def _qubits(self, qubits):
+        """``qubits`` as a strictly ascending tuple inside the register."""
+        qubits = tuple(int(q) for q in qubits)
+        if not qubits or list(qubits) != sorted(set(qubits)):
+            raise ValueError(f"qubits {qubits} must be non-empty and strictly ascending")
+        if qubits[0] < 0 or qubits[-1] >= self.num_qubits:
+            raise ValueError(f"qubits {qubits} outside the {self.num_qubits}-qubit register")
+        return qubits
 
-        Computed on the closure of ``keep`` under overlapping channel
-        supports, so the result is exact without touching the full register.
+    def _corrupt_measured(self, ideal, measured):
+        region = tuple(range(self.num_qubits)) if measured is None else self._qubits(measured)
+        return self._corrupt_region(self._dist(ideal), region)
+
+    def _corrupt_region(self, dist, region):
+        """Exact corruption of ``dist``'s marginal on the ascending ``region``
+        by the channels whose supports lie inside it.
+
+        Up to ``_DENSE_CORRUPT_QUBITS`` qubits the result is a float64 tensor
+        of shape ``(2,) * len(region)``, axis ``i`` carrying ``region[i]``:
+        the input marginal is scattered into it once, each channel acts on
+        its support axes in firing order, and, if any channel fired,
+        non-positive entries are zeroed and the rest renormalized as
+        ``apply(..., cull_threshold=0.0)`` does.  Wider regions return the
+        :class:`Distribution` of that sparse ``apply``.
         """
-        keep = tuple(int(q) for q in keep)
+        pos = {q: i for i, q in enumerate(region)}
+        # last listed acts first, matching the dense composite product
+        factors = tuple(
+            (tuple(pos[q] for q in ch.support), ch.matrix)
+            for ch in reversed(self.channels)
+            if pos.keys() >= set(ch.support)
+        )
+        if len(region) > _DENSE_CORRUPT_QUBITS:
+            sub = dist.marginal(region) if len(region) < dist.n else dist
+            if not factors:
+                return sub
+            return apply_channels(SparseCalibration(factors, "forward"), sub, cull_threshold=0.0)
+        tensor = np.zeros(1 << len(region))
+        keys = dist.entries
+        if len(region) < dist.n:
+            keys = ("".join(key[q] for q in region) for key in keys)
+        np.add.at(tensor, [int(key, 2) for key in keys], list(dist.entries.values()))
+        tensor = tensor.reshape((2,) * len(region))
+        if not factors:
+            return tensor
+        for axes, matrix in factors:
+            tensor = _apply_local(tensor, axes, matrix)
+        positive = tensor > 0.0
+        tensor[~positive] = 0.0
+        total = tensor[positive].sum()
+        if total <= 0.0:
+            raise CalibrationError("no positive mass left after corruption")
+        tensor /= total
+        return tensor
+
+    def corrupted(self, ideal, measured=None):
+        """Exact observed distribution for a (subset) measurement."""
+        out = self._corrupt_measured(ideal, measured)
+        return out if isinstance(out, Distribution) else _nonzero_distribution(out.ravel())
+
+    def marginal_after_noise(self, ideal, keeps):
+        """Marginals over each support in ``keeps`` of the fully measured
+        corrupted distribution, one :class:`Distribution` per support.
+
+        Each support is closed under overlapping channel supports, so its
+        marginal is exact without touching the rest of the register.  Each
+        distinct closure is corrupted once; a support's marginal is the sum
+        of the closure tensor over the other axes, added in index order.
+        """
+        dist = self._dist(ideal)
+        keeps = [self._qubits(keep) for keep in keeps]
+        by_region = {}
+        for slot, keep in enumerate(keeps):
+            by_region.setdefault(self._closure(keep), []).append(slot)
+        out = [None] * len(keeps)
+        for region, slots in by_region.items():
+            corrupted = self._corrupt_region(dist, region)
+            for slot in slots:
+                out[slot] = _marginal(corrupted, tuple(region.index(q) for q in keeps[slot]))
+        return out
+
+    def _closure(self, keep):
         closure = set(keep)
         grew = True
         while grew:
@@ -303,26 +363,89 @@ class NoiseModel:
                 if sup & closure and not sup <= closure:
                     closure |= sup
                     grew = True
-        region = tuple(sorted(closure))
-        sub = self._corrupt_region(_dist_of(ideal), region)
-        return sub.marginal(tuple(region.index(q) for q in keep))
+        return tuple(sorted(closure))
 
     def sample(self, ideal, shots, seed, measured=None):
         """Seeded multinomial counts from the corrupted distribution."""
         if shots <= 0:
             raise ValueError("shots must be positive")
-        return sample_distribution(self.corrupted(ideal, measured), shots, seed)
+        return sample_distribution(self._corrupt_measured(ideal, measured), shots, seed)
+
+
+def _apply_local(tensor, axes, matrix):
+    """``matrix`` applied to the ``axes`` of ``tensor`` (first axis = most
+    significant local bit).
+
+    Each output slice is summed term by term in ascending input order and
+    zero coefficients are skipped, so entries carry the same rounding as
+    the sparse ``apply`` of the same channel.
+    """
+    p = len(axes)
+    dim = 1 << p
+    views = []
+    for local in range(dim):
+        index = [slice(None)] * tensor.ndim
+        for j, axis in enumerate(axes):
+            index[axis] = (local >> (p - 1 - j)) & 1
+        views.append(tuple(index))
+    out = np.zeros_like(tensor)
+    for row in range(dim):
+        acc = None
+        for col in range(dim):
+            coeff = matrix[row, col]
+            if coeff != 0.0:
+                term = coeff * tensor[views[col]]
+                acc = term if acc is None else acc + term
+        if acc is not None:
+            out[views[row]] = acc
+    return out
+
+
+def _marginal(corrupted, axes):
+    """Marginal over the positions ``axes`` of a corrupted region."""
+    if isinstance(corrupted, Distribution):
+        return corrupted.marginal(axes)
+    drop = tuple(i for i in range(corrupted.ndim) if i not in axes)
+    # summing over the leading axis of a C-contiguous 2-D array adds its rows
+    # one after the other, the order Distribution.marginal adds entries in
+    rows = np.ascontiguousarray(np.transpose(corrupted, drop + axes)).reshape(-1, 1 << len(axes))
+    return _nonzero_distribution(rows.sum(axis=0))
+
+
+def _nonzero_distribution(vector):
+    """Distribution of the nonzero entries of a vector over basis indices."""
+    width = vector.size.bit_length() - 1
+    index = np.flatnonzero(vector)
+    return Distribution(
+        {format(i, f"0{width}b"): v for i, v in zip(index.tolist(), vector[index].tolist())},
+        width,
+    )
 
 
 def sample_distribution(dist, shots, seed):
-    """Seeded multinomial counts from a normalized distribution."""
+    """Seeded multinomial counts from a normalized distribution.
+
+    ``dist`` is a :class:`Distribution`, drawn over its entries in sorted
+    bitstring order, or a probability tensor over basis indices as
+    ``NoiseModel`` corrupts it, drawn over its positive entries in index
+    order (the same order); only the tensor's drawn outcomes are formatted.
+    """
     rng = _as_rng(seed)
-    keys = sorted(dist.entries)
-    probs = np.array([dist.entries[k] for k in keys], dtype=float)
+    tensor = not isinstance(dist, Distribution)
+    if tensor:
+        flat = dist.ravel()
+        keys = np.flatnonzero(flat > 0.0)
+        probs = flat[keys]
+    else:
+        keys = sorted(dist.entries)
+        probs = np.array([dist.entries[k] for k in keys], dtype=float)
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
     draws = rng.multinomial(shots, probs)
-    return {k: int(c) for k, c in zip(keys, draws) if c}
+    drawn = np.flatnonzero(draws).tolist()
+    if tensor:
+        return {format(int(keys[i]), f"0{dist.ndim}b"): int(draws[i]) for i in drawn}
+    return {keys[i]: int(draws[i]) for i in drawn}
 
 
 # --- benchmark distributions ----------------------------------------------------

@@ -439,9 +439,8 @@ def _estimate_patches(noise, plan, shots_per_circuit, rng):
     for group in plan.groups:
         for col, assignment in enumerate(group_preparation_circuits(group)):
             bits = "".join("1" if assignment.get(q, 0) else "0" for q in range(n))
-            prep = Distribution.point_mass(bits)
-            for patch in group:
-                marg = noise.marginal_after_noise(prep, patch)
+            marginals = noise.marginal_after_noise(Distribution.point_mass(bits), group)
+            for patch, marg in zip(group, marginals):
                 dim = 1 << len(patch)
                 column = np.zeros(dim)
                 if shots_per_circuit is None:

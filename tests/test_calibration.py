@@ -499,6 +499,15 @@ def test_distribution_finalized_clamps_and_renormalizes():
         Distribution({"000": 1.0}, 2)
 
 
+@pytest.mark.parametrize("key", ["0a", "2 ", " 1", "1\n", "０1", "01 "])
+def test_distribution_rejects_keys_with_a_bad_character(key):
+    with pytest.raises(CalibrationError, match="is not a 2-bit string"):
+        Distribution({"01": 0.5, key: 0.5}, 2)
+    assert Distribution({"01": 0.5, "10": 0.5}, 2).entries == {"01": 0.5, "10": 0.5}
+    with pytest.raises(CalibrationError, match="does not fit support"):
+        CountsRecord((0, 1), "01", {"01": 5, key: 5}, 10)
+
+
 def test_embed_dense_places_factor_on_support():
     rng = np.random.default_rng(49)
     a = random_single(rng)

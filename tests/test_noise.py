@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from cmcal.calibration import CalibrationError, Distribution, embed_dense
+from cmcal.calibration import (
+    CalibrationError,
+    Distribution,
+    SparseCalibration,
+    apply,
+    embed_dense,
+)
 from cmcal.noise import (
+    _DENSE_CORRUPT_QUBITS,
     IdealDistribution,
     MeasurementChannel,
     NoiseModel,
@@ -12,6 +19,7 @@ from cmcal.noise import (
     ghz_cnot_schedule,
     ghz_distribution,
     ideal_ghz,
+    sample_distribution,
     simulate_counts,
     state_dependent_channel,
     x_chain_experiment,
@@ -224,12 +232,118 @@ def test_marginal_after_noise_matches_full_marginal():
     )
     model = NoiseModel(n, channels)
     ideal = ghz_distribution(generate_architecture("linear", num_qubits=n), 0.002)
-    for keep in [(0,), (1, 2), (1, 4), (0, 2, 3)]:
-        fast = model.marginal_after_noise(ideal, keep)
+    keeps = [(0,), (1, 2), (1, 4), (0, 2, 3)]
+    marginals = model.marginal_after_noise(ideal, keeps)
+    assert len(marginals) == len(keeps)
+    for keep, fast in zip(keeps, marginals):
         slow = model.corrupted(ideal).marginal(keep)
         assert set(fast.entries) == set(slow.entries)
         for k in fast.entries:
             assert fast.entries[k] == pytest.approx(slow.entries[k], abs=1e-12)
+
+
+@pytest.mark.parametrize("measured", [None, (0, 2, 3, 6)])
+def test_dense_corruption_equals_the_sparse_apply_bit_for_bit(measured):
+    # The sparse apply is the reference: same channels in firing order, same
+    # clamping and renormalization, same rounding.
+    cmap = generate_architecture("heavy_hex", num_qubits=8)
+    n = cmap.num_qubits
+    flips = tuple(correlated_channel(e, "pairwise_flip", 0.05) for e in cmap.edges)
+    model = NoiseModel(n, NoiseSpec.random(n, seed=3).channels(n) + flips)
+    region = tuple(range(n)) if measured is None else measured
+    fired = [ch for ch in reversed(model.channels) if set(ch.support) <= set(region)]
+    forward = SparseCalibration(
+        [(tuple(region.index(q) for q in ch.support), ch.matrix) for ch in fired], "forward"
+    )
+    for ideal in (ideal_ghz(n).distribution, Distribution.point_mass("10110010")):
+        sub = ideal if measured is None else ideal.marginal(measured)
+        want = apply(forward, sub, cull_threshold=0.0)
+        got = model.corrupted(ideal, measured)
+        assert got.entries == want.entries
+        assert list(got.entries) == list(want.entries)
+
+
+def test_marginal_after_noise_batches_add_in_the_sparse_order():
+    # The batched tensor marginals add entries in the order Distribution.marginal
+    # does, so they equal it bit for bit, also for supports sharing a closure.
+    cmap = generate_architecture("grid", rows=3, cols=3)
+    n = cmap.num_qubits
+    flips = tuple(correlated_channel(e, "pairwise_flip", 0.05) for e in cmap.edges)
+    model = NoiseModel(n, NoiseSpec.random(n, seed=4).channels(n) + flips)
+    ideal = ghz_distribution(cmap, 0.01)
+    keeps = [(0, 1), (4,), (2, 5, 8), (0, 8)]
+    full = model.corrupted(ideal)
+    for keep, fast in zip(keeps, model.marginal_after_noise(ideal, keeps)):
+        assert fast.entries == full.marginal(keep).entries
+
+
+def test_qubits_outside_the_register_raise_value_error():
+    model = NoiseModel.from_spec(3, NoiseSpec.random(3, seed=1))
+    ideal = ideal_ghz(3)
+    with pytest.raises(ValueError, match="outside"):
+        model.corrupted(ideal, measured=(0, 5))
+    with pytest.raises(ValueError, match="outside"):
+        model.sample(ideal, 100, seed=0, measured=(1, 3))
+    with pytest.raises(ValueError, match="outside"):
+        model.marginal_after_noise(ideal, [(0,), (2, 4)])
+    with pytest.raises(ValueError, match="outside"):
+        model.corrupted(ideal, measured=(-1, 0))
+
+
+@pytest.mark.parametrize(
+    "kind,params,edge_flip,measured",
+    [
+        ("linear", {"num_qubits": 5}, 0.0, None),
+        ("grid", {"rows": 2, "cols": 4}, 0.0, (1, 2, 5, 7)),
+        ("heavy_hex", {"num_qubits": 8}, 0.05, None),
+        ("grid", {"rows": 2, "cols": 3}, 0.1, (0, 2, 3)),
+    ],
+)
+def test_sample_equals_sampling_the_corrupted_distribution(kind, params, edge_flip, measured):
+    # Sampling straight from the corrupted tensor draws the same random stream
+    # as sampling the Distribution that corrupted() returns.
+    cmap = generate_architecture(kind, **params)
+    n = cmap.num_qubits
+    flips = tuple(correlated_channel(e, "pairwise_flip", edge_flip) for e in cmap.edges)
+    model = NoiseModel(n, NoiseSpec.random(n, seed=n).channels(n) + flips)
+    for ideal in (ideal_ghz(n), ghz_distribution(cmap, 0.02)):
+        for seed in (3, 4):
+            want = sample_distribution(model.corrupted(ideal, measured), 4000, seed)
+            got = model.sample(ideal, 4000, seed, measured)
+            assert got == want
+            assert list(got) == list(want)
+
+
+def test_wide_register_corrupts_exactly_on_the_sparse_path():
+    n = _DENSE_CORRUPT_QUBITS + 3
+    channels = (
+        state_dependent_channel(0.1, 0.2, qubit=2),
+        correlated_channel((0, n - 1), "pairwise_flip", 0.25),
+    )
+    model = NoiseModel(n, channels)
+    ones = "1" * n
+    ideal = Distribution({"0" * n: 0.5, ones: 0.5}, n)
+
+    def flip(bits, qubits):
+        return "".join("10"[int(c)] if q in qubits else c for q, c in enumerate(bits))
+
+    # the joint flip acts first (last listed), then the readout error on qubit 2
+    want = {}
+    for start in ("0" * n, ones):
+        for joint, pj in ((False, 0.75), (True, 0.25)):
+            bits = flip(start, {0, n - 1}) if joint else start
+            misread = 0.1 if bits[2] == "0" else 0.2
+            for err, pe in ((False, 1.0 - misread), (True, misread)):
+                out = flip(bits, {2}) if err else bits
+                want[out] = want.get(out, 0.0) + 0.5 * pj * pe
+    got = model.corrupted(ideal)
+    assert set(got.entries) == set(want)
+    for k, v in want.items():
+        assert got.entries[k] == pytest.approx(v, abs=1e-15)
+    (marginal,) = model.marginal_after_noise(ideal, [(2,)])
+    assert marginal.entries == pytest.approx({"0": 0.5 * 0.9 + 0.5 * 0.2, "1": 0.5 * 0.1 + 0.5 * 0.8})
+    counts = model.sample(ideal, 1000, seed=1)
+    assert sum(counts.values()) == 1000 and set(counts) <= set(want)
 
 
 def test_model_validation():
