@@ -19,6 +19,7 @@ import numpy as np
 
 from .calibration import (
     DEFAULT_CULL,
+    MAX_PATCH_QUBITS,
     CalibrationError,
     CalibrationMatrix,
     CountsRecord,
@@ -281,7 +282,7 @@ def run_experiment(config: ExperimentConfig) -> list:
     """
     cmap = _build_coupling_map(config.architecture)
     n = cmap.num_qubits
-    reference = ideal_ghz(n).distribution
+    reference = ideal_ghz(n)
     kind = config.noise.get("kind", "random")
     fixed = _fixed_spec(config.noise) if kind == "fixed" else None
     gate_flip = fixed.gate_flip if fixed is not None else 0.0
@@ -386,6 +387,9 @@ class CalibrationStore:
         supports = [m.support for m in matrices]
         if len(set(supports)) != len(supports):
             raise StoreError("duplicate patch supports in store")
+        for sup in supports:
+            if len(sup) > MAX_PATCH_QUBITS:
+                raise StoreError(f"patch {sup} exceeds the {MAX_PATCH_QUBITS}-qubit bound")
         singles = {}
         for q, mat in self.singles.items():
             single = mat if isinstance(mat, CalibrationMatrix) else CalibrationMatrix((int(q),), mat)

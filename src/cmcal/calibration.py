@@ -74,17 +74,6 @@ def _as_square(entries) -> np.ndarray:
     return arr
 
 
-def _check_column_stochastic(arr: np.ndarray, tol: float = COLUMN_TOL) -> None:
-    if not np.isfinite(arr).all():
-        raise CalibrationError("non-finite entry in calibration matrix")
-    if arr.min() < -tol:
-        raise CalibrationError(f"negative entry {arr.min():.3e} in calibration matrix")
-    sums = arr.sum(axis=0)
-    bad = np.abs(sums - 1.0).max()
-    if bad > tol:
-        raise CalibrationError(f"columns must sum to 1 (max deviation {bad:.3e})")
-
-
 def normalize_columns(arr: np.ndarray) -> np.ndarray:
     sums = arr.sum(axis=0)
     if np.any(sums <= DET_TOL):
@@ -105,7 +94,16 @@ def _first_bad_key(keys, width):
 
 @dataclass(frozen=True)
 class CalibrationMatrix:
-    """Column-stochastic matrix over a small ascending qubit support."""
+    """Column-stochastic matrix over an ascending qubit support.
+
+    The one matrix type for both sides: a noise channel of the simulated
+    device and a calibration estimated from counts.  ``entries[observed,
+    prepared]`` over the support's local basis (lowest qubit = most
+    significant local bit).  Entries are finite and nonnegative, and columns
+    sum to 1 within ``COLUMN_TOL``.  Channels may span the whole register;
+    patches entering the calibration path are bounded by
+    ``MAX_PATCH_QUBITS`` there.
+    """
 
     support: tuple[int, ...]
     entries: np.ndarray
@@ -117,11 +115,13 @@ class CalibrationMatrix:
             raise CalibrationError(
                 f"matrix dim {arr.shape[0]} does not match support {sup}"
             )
-        if len(sup) > MAX_PATCH_QUBITS:
-            raise CalibrationError(
-                f"patch of {len(sup)} qubits exceeds the {MAX_PATCH_QUBITS}-qubit bound"
-            )
-        _check_column_stochastic(arr)
+        if not np.isfinite(arr).all():
+            raise CalibrationError("non-finite entry in calibration matrix")
+        if arr.min() < 0.0:
+            raise CalibrationError(f"negative entry {arr.min():.3e} in calibration matrix")
+        bad = np.abs(arr.sum(axis=0) - 1.0).max()
+        if bad > COLUMN_TOL:
+            raise CalibrationError(f"columns must sum to 1 (max deviation {bad:.3e})")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "support", sup)
@@ -400,7 +400,7 @@ def normalized_partial_trace(mat: CalibrationMatrix, keep) -> CalibrationMatrix:
     )
 
 
-def fractional_power(mat, exponent: float) -> np.ndarray:
+def fractional_power(mat: np.ndarray, exponent: float) -> np.ndarray:
     """Principal matrix power via eigendecomposition, exponent in (0, 1].
 
     Matrices whose spectrum is not real and positive are nudged toward the
@@ -408,10 +408,7 @@ def fractional_power(mat, exponent: float) -> np.ndarray:
     giving up.  Column sums are preserved exactly by any power because the
     all-ones row vector is a left eigenvector with eigenvalue 1.
     """
-    if isinstance(mat, CalibrationMatrix):
-        arr = np.asarray(mat.entries, dtype=float)
-    else:
-        arr = _as_square(mat)
+    arr = _as_square(mat)
     if not 0.0 < exponent <= 1.0:
         raise CalibrationError(f"exponent must lie in (0, 1], got {exponent}")
     if exponent == 1.0:
@@ -509,8 +506,9 @@ def assemble_for_measured(
     are dropped.  Multiplicities count the surviving patches only.  A
     measured qubit no surviving patch touches falls back to its entry in
     ``singles`` or, failing that, to an identity factor (logged, since it
-    leaves that qubit unmitigated).  Patch supports must be distinct and
-    share at most one qubit pairwise.
+    leaves that qubit unmitigated).  Patch supports must be distinct, span
+    at most ``MAX_PATCH_QUBITS`` qubits, and share at most one qubit
+    pairwise.
     """
     patches = [m if isinstance(m, CalibrationMatrix) else CalibrationMatrix(*m) for m in patches]
     supports = [m.support for m in patches]
@@ -518,6 +516,10 @@ def assemble_for_measured(
         raise CalibrationError("duplicate patch supports")
     owner: dict[tuple[int, int], tuple[int, ...]] = {}
     for sup in supports:
+        if len(sup) > MAX_PATCH_QUBITS:
+            raise CalibrationError(
+                f"patch {sup} exceeds the {MAX_PATCH_QUBITS}-qubit bound"
+            )
         for pair in combinations(sup, 2):
             if pair in owner:
                 raise CalibrationError(

@@ -1,13 +1,15 @@
 """Ground-truth measurement-error channels and benchmark distributions.
 
-Channels are column-stochastic matrices on small qubit supports.  A
-:class:`NoiseModel` holds an ordered set of channels over a register and
-corrupts ideal distributions exactly before seeded sampling: on a dense
-float64 tensor with one axis per qubit of the measured region, each channel
-acting on its own axes, for regions of up to ``_DENSE_CORRUPT_QUBITS``
-qubits, and by the sparse ``calibration.apply`` over wider ones.  Samples
-are drawn straight from the tensor; bitstrings are formed only for drawn
-outcomes.
+A channel is a :class:`~cmcal.calibration.CalibrationMatrix`, the same
+column-stochastic type the calibration side estimates; its support may span
+the whole register.  A :class:`NoiseModel` holds an ordered set of channels
+over a register and corrupts ideal :class:`~cmcal.calibration.Distribution`
+objects exactly before seeded sampling: on a dense float64 tensor with one
+axis per qubit of the measured region, each channel acting on its own axes,
+for regions of up to ``_DENSE_CORRUPT_QUBITS`` qubits, and by the sparse
+``calibration.apply`` over wider ones.  Samples are drawn straight from the
+tensor; bitstrings are formed only for drawn outcomes.  The benchmark
+circuits (``ideal_ghz``, ``ghz_distribution``) are plain distributions too.
 
 Subset measurement: when only a subset of the register is measured, a channel
 fires only if its support lies entirely inside the measured set — correlated
@@ -28,6 +30,7 @@ import numpy as np
 
 from .calibration import (
     CalibrationError,
+    CalibrationMatrix,
     Distribution,
     SparseCalibration,
     apply as apply_channels,
@@ -35,11 +38,8 @@ from .calibration import (
 )
 
 __all__ = [
-    "CHANNEL_COL_TOL",
-    "MeasurementChannel",
     "NoiseSpec",
     "NoiseModel",
-    "IdealDistribution",
     "state_dependent_channel",
     "correlated_channel",
     "compose",
@@ -51,8 +51,6 @@ __all__ = [
     "x_chain_experiment",
 ]
 
-CHANNEL_COL_TOL = 1e-12
-_DENSE_COMPOSE_QUBITS = 10
 # widest region corrupted on a dense tensor: 2^22 float64 entries are 32 MB
 _DENSE_CORRUPT_QUBITS = 22
 
@@ -63,49 +61,13 @@ def _as_rng(seed):
     return np.random.default_rng(seed)
 
 
-@dataclass(frozen=True)
-class MeasurementChannel:
-    """Column-stochastic error process on a small qubit support.
-
-    ``matrix[observed, true]`` over the support's local basis (lowest qubit =
-    most significant local bit).
-    """
-
-    support: tuple
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        support = tuple(int(q) for q in self.support)
-        if list(support) != sorted(set(support)) or (support and support[0] < 0):
-            raise ValueError(f"support {support} must be strictly ascending")
-        if not support:
-            raise ValueError("empty support")
-        mat = np.array(self.matrix, dtype=float)
-        dim = 1 << len(support)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match support {support}")
-        if not np.isfinite(mat).all():
-            raise ValueError("channel entries must be finite")
-        if mat.min() < 0.0:
-            raise ValueError("channel entries must be nonnegative")
-        if np.abs(mat.sum(axis=0) - 1.0).max() > CHANNEL_COL_TOL:
-            raise ValueError("channel columns must sum to 1")
-        mat.setflags(write=False)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def num_qubits(self):
-        return len(self.support)
-
-
 def state_dependent_channel(p01, p10, qubit=0):
     """One-qubit readout channel: 0 misread as 1 with p01, 1 as 0 with p10."""
     for name, p in (("p01", p01), ("p10", p10)):
         if not (0.0 <= p <= 1.0):
             raise ValueError(f"{name} must be in [0, 1], got {p}")
     matrix = [[1.0 - p01, p10], [p01, 1.0 - p10]]
-    return MeasurementChannel((qubit,), matrix)
+    return CalibrationMatrix((qubit,), matrix)
 
 
 _KIND_ARITY = {"pairwise_flip": 2, "triplet_flip": 3, "flip_all": None}
@@ -125,29 +87,27 @@ def correlated_channel(support, kind, p):
     matrix = (1.0 - p) * np.eye(dim)
     for v in range(dim):
         matrix[v ^ (dim - 1), v] += p
-    return MeasurementChannel(support, matrix)
+    return CalibrationMatrix(support, matrix)
 
 
-def compose(channels, num_qubits, dense=None):
-    """Product of embedded channels in list order.
+def compose(channels, num_qubits):
+    """Product of embedded channels in list order, as one channel on the
+    full register: the dense oracle for small registers (``embed_dense``
+    refuses wide ones).
 
-    Dense result (a channel on the full register) for small registers, the
-    validated factor tuple otherwise.  In both forms the *last* listed
-    channel acts on a distribution first, matching the matrix product
-    ``E(c1) @ E(c2) @ ... @ E(ck)``.
+    The *last* listed channel acts on a distribution first, matching the
+    matrix product ``E(c1) @ E(c2) @ ... @ E(ck)``.
     """
     channels = tuple(channels)
     for ch in channels:
         if ch.support[-1] >= num_qubits:
             raise ValueError(f"support {ch.support} exceeds register {num_qubits}")
-    if dense is None:
-        dense = num_qubits <= _DENSE_COMPOSE_QUBITS
-    if not dense:
-        return channels
-    acc = np.eye(1 << num_qubits)
+    # the identity goes through embed_dense too, so a wide register is
+    # refused before anything register-sized is allocated
+    acc = embed_dense(np.eye(2), (0,), num_qubits)
     for ch in channels:
-        acc = acc @ embed_dense(ch.matrix, ch.support, num_qubits)
-    return MeasurementChannel(tuple(range(num_qubits)), acc)
+        acc = acc @ embed_dense(ch.entries, ch.support, num_qubits)
+    return CalibrationMatrix(tuple(range(num_qubits)), acc)
 
 
 @dataclass(frozen=True)
@@ -205,7 +165,7 @@ class NoiseSpec:
             {
                 "per_qubit": {str(q): list(r) for q, r in sorted(self.per_qubit.items())},
                 "correlated": [
-                    {"support": list(ch.support), "matrix": ch.matrix.tolist()}
+                    {"support": list(ch.support), "matrix": ch.entries.tolist()}
                     for ch in self.correlated
                 ],
                 "gate_flip": self.gate_flip,
@@ -219,7 +179,7 @@ class NoiseSpec:
         for item in doc.get("correlated", []):
             support = tuple(item["support"])
             if "matrix" in item:
-                correlated.append(MeasurementChannel(support, item["matrix"]))
+                correlated.append(CalibrationMatrix(support, item["matrix"]))
             else:
                 correlated.append(correlated_channel(support, item["kind"], item["p"]))
         return cls(
@@ -227,24 +187,6 @@ class NoiseSpec:
             tuple(correlated),
             float(doc.get("gate_flip", 0.0)),
         )
-
-
-@dataclass(frozen=True)
-class IdealDistribution:
-    """Noiseless reference distribution plus how it was obtained."""
-
-    distribution: Distribution
-    provenance: str = "analytic"
-
-    def __post_init__(self):
-        if self.provenance not in ("analytic", "simulated"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if abs(self.distribution.total() - 1.0) > 1e-9:
-            raise ValueError("ideal distribution must be normalized")
-
-
-def _dist_of(ideal):
-    return ideal.distribution if isinstance(ideal, IdealDistribution) else ideal
 
 
 class NoiseModel:
@@ -265,12 +207,11 @@ class NoiseModel:
         return cls(num_qubits, spec.channels(num_qubits))
 
     def _dist(self, ideal):
-        dist = _dist_of(ideal)
-        if dist.n != self.num_qubits:
+        if ideal.n != self.num_qubits:
             raise CalibrationError(
-                f"distribution register {dist.n} does not match model {self.num_qubits}"
+                f"distribution register {ideal.n} does not match model {self.num_qubits}"
             )
-        return dist
+        return ideal
 
     def _qubits(self, qubits):
         """``qubits`` as a strictly ascending tuple inside the register."""
@@ -300,7 +241,7 @@ class NoiseModel:
         pos = {q: i for i, q in enumerate(region)}
         # last listed acts first, matching the dense composite product
         factors = tuple(
-            (tuple(pos[q] for q in ch.support), ch.matrix)
+            (tuple(pos[q] for q in ch.support), ch.entries)
             for ch in reversed(self.channels)
             if pos.keys() >= set(ch.support)
         )
@@ -455,7 +396,7 @@ def ideal_ghz(n):
     """Equal mixture of all-zeros and all-ones."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return IdealDistribution(Distribution({"0" * n: 0.5, "1" * n: 0.5}, n), "analytic")
+    return Distribution({"0" * n: 0.5, "1" * n: 0.5}, n)
 
 
 def ghz_cnot_schedule(cmap, root=0):
@@ -486,7 +427,7 @@ def ghz_distribution(cmap, gate_flip=0.0, root=0):
     n = cmap.num_qubits
     if gate_flip == 0.0 and n >= 1:
         if n == 1:
-            return IdealDistribution(Distribution({"0": 0.5, "1": 0.5}, 1), "analytic")
+            return Distribution({"0": 0.5, "1": 0.5}, 1)
         schedule = ghz_cnot_schedule(cmap, root)  # validates connectivity
         assert len(schedule) == n - 1
         return ideal_ghz(n)
@@ -506,18 +447,17 @@ def ghz_distribution(cmap, gate_flip=0.0, root=0):
             nxt[other] = nxt.get(other, 0.0) + prob * gate_flip
         states = nxt
     entries = {format(s, f"0{n}b"): p for s, p in states.items() if p > 0.0}
-    return IdealDistribution(Distribution(entries, n), "simulated")
+    return Distribution(entries, n)
 
 
 def simulate_counts(ideal, channel, shots, seed, measured=None):
     """Corrupt an ideal distribution with a channel (or list) and sample."""
-    dist = _dist_of(ideal)
     if isinstance(channel, NoiseModel):
         model = channel
     else:
-        channels = (channel,) if isinstance(channel, MeasurementChannel) else tuple(channel)
-        model = NoiseModel(dist.n, channels)
-    return model.sample(dist, shots, seed, measured)
+        channels = (channel,) if isinstance(channel, CalibrationMatrix) else tuple(channel)
+        model = NoiseModel(ideal.n, channels)
+    return model.sample(ideal, shots, seed, measured)
 
 
 def x_chain_experiment(depth_max, channel, shots, seed, gate_flip=0.0):
@@ -539,7 +479,7 @@ def x_chain_experiment(depth_max, channel, shots, seed, gate_flip=0.0):
         vec = np.zeros(2)
         vec[ideal_bit] = p_correct
         vec[1 - ideal_bit] = 1.0 - p_correct
-        observed = channel.matrix @ vec
+        observed = channel.entries @ vec
         counts = sample_distribution(
             Distribution({"0": observed[0], "1": observed[1]}, 1),
             shots,

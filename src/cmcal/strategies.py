@@ -30,7 +30,7 @@ from .calibration import (
     invert,
     normalized_partial_trace,
 )
-from .noise import _as_rng, _dist_of, sample_distribution
+from .noise import _as_rng, sample_distribution
 from .topology import (
     candidate_pairs,
     correlation_weights,
@@ -163,10 +163,9 @@ def _average(dists, n):
 
 def run_bare(circuit, noise, budget, seed=0):
     """All shots on the circuit; empirical frequencies, no mitigation."""
-    dist = _dist_of(circuit)
-    n = _check_register(dist, noise, None)
+    n = _check_register(circuit, noise, None)
     shots = None if budget is None else budget.total
-    observed = _observe(noise, dist, shots, _as_rng(seed))
+    observed = _observe(noise, circuit, shots, _as_rng(seed))
     return MethodResult(
         "bare",
         observed,
@@ -175,14 +174,11 @@ def run_bare(circuit, noise, budget, seed=0):
     )
 
 
-def run_full(circuit, noise, budget, n=None, seed=0, force=False):
+def run_full(circuit, noise, budget, n=None, seed=0):
     """Dense register-scale calibration from all 2^n basis states."""
-    dist = _dist_of(circuit)
-    n = _check_register(dist, noise, n)
-    if n > FULL_MAX_QUBITS and not force:
-        raise ValueError(
-            f"dense calibration refused for n={n} > {FULL_MAX_QUBITS}; pass force=True"
-        )
+    n = _check_register(circuit, noise, n)
+    if n > FULL_MAX_QUBITS:
+        raise ValueError(f"dense calibration refused for n={n} > {FULL_MAX_QUBITS}")
     dim = 1 << n
     rng = _as_rng(seed)
     r, circuit_shots = _split_budget(budget, dim)
@@ -195,8 +191,9 @@ def run_full(circuit, noise, budget, n=None, seed=0, force=False):
     try:
         inverse = np.linalg.inv(matrix)
     except np.linalg.LinAlgError:
-        inverse = np.linalg.pinv(matrix)
-    observed = _observe(noise, dist, circuit_shots, rng)
+        per = "exact columns" if r is None else f"shots per basis state: {r}"
+        raise CalibrationError(f"dense calibration matrix is singular ({per})") from None
+    observed = _observe(noise, circuit, circuit_shots, rng)
     vec = np.zeros(dim)
     for key, val in observed.entries.items():
         vec[bits_to_index(key)] = val
@@ -227,13 +224,12 @@ def _single_qubit_matrices(noise, n, shots, rng):
 
 def run_linear(circuit, noise, budget, n=None, seed=0):
     """Per-qubit calibration from the two circuits 0...0 and 1...1."""
-    dist = _dist_of(circuit)
-    n = _check_register(dist, noise, n)
+    n = _check_register(circuit, noise, n)
     rng = _as_rng(seed)
     r, circuit_shots = _split_budget(budget, 2)
     singles = _single_qubit_matrices(noise, n, r, rng)
     inverse = invert(SparseCalibration(tuple((m.support, m.entries) for m in singles.values())))
-    mitigated = apply(inverse, _observe(noise, dist, circuit_shots, rng))
+    mitigated = apply(inverse, _observe(noise, circuit, circuit_shots, rng))
     return MethodResult(
         "linear",
         mitigated,
@@ -260,8 +256,7 @@ def _sim_masks(n):
 
 def run_sim(circuit, noise, budget, n=None, seed=0):
     """Average of four statically masked runs, XOR-unmasked."""
-    dist = _dist_of(circuit)
-    n = _check_register(dist, noise, n)
+    n = _check_register(circuit, noise, n)
     masks = _sim_masks(n)
     rng = _as_rng(seed)
     per = None if budget is None else budget.total // len(masks)
@@ -269,7 +264,7 @@ def run_sim(circuit, noise, budget, n=None, seed=0):
         raise ValueError("budget too small for four masked runs")
     unmasked = []
     for mask in masks:
-        observed = _observe(noise, _masked(dist, mask), per, rng)
+        observed = _observe(noise, _masked(circuit, mask), per, rng)
         unmasked.append(_masked(observed, mask))
     return MethodResult(
         "sim",
@@ -294,8 +289,7 @@ def run_aim(circuit, noise, budget, n=None, r1=None, r2=None, top_k=None, seed=0
     its maximum single-outcome frequency (more decisive masks score higher);
     phase 2 reruns the ``top_k`` masks ``r2`` times, XOR-unmasks, averages.
     """
-    dist = _dist_of(circuit)
-    n = _check_register(dist, noise, n)
+    n = _check_register(circuit, noise, n)
     masks = _aim_masks(n)
     m = len(masks)
     if top_k is None:
@@ -315,12 +309,12 @@ def run_aim(circuit, noise, budget, n=None, r1=None, r2=None, top_k=None, seed=0
             raise ValueError("budget too small for both mask phases")
     scores = []
     for mask in masks:
-        observed = _observe(noise, _masked(dist, mask), r1, rng)
+        observed = _observe(noise, _masked(circuit, mask), r1, rng)
         scores.append(max(observed.entries.values()))
     selected = sorted(range(m), key=lambda i: (-scores[i], i))[:top_k]
     unmasked = []
     for i in selected:
-        observed = _observe(noise, _masked(dist, masks[i]), r2, rng)
+        observed = _observe(noise, _masked(circuit, masks[i]), r2, rng)
         unmasked.append(_masked(observed, masks[i]))
     return MethodResult(
         "aim",
@@ -354,8 +348,7 @@ def run_jigsaw(circuit, noise, budget, n=None, patch_count=None, epsilon=0.0, se
     the distribution of the matching global marginal, so it is a no-op in
     expectation.
     """
-    dist = _dist_of(circuit)
-    n = _check_register(dist, noise, n)
+    n = _check_register(circuit, noise, n)
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     if patch_count is None:
@@ -368,7 +361,7 @@ def run_jigsaw(circuit, noise, budget, n=None, patch_count=None, epsilon=0.0, se
     per = None if budget is None else budget.total // (patch_count + 1)
     if per is not None and per < 1:
         raise ValueError("budget too small for global plus patch runs")
-    table = dict(_observe(noise, dist, per, rng).entries)
+    table = dict(_observe(noise, circuit, per, rng).entries)
     perm = rng.permutation(n)
     patches = [
         tuple(sorted((int(perm[2 * i]), int(perm[2 * i + 1]))))
@@ -377,11 +370,11 @@ def run_jigsaw(circuit, noise, budget, n=None, patch_count=None, epsilon=0.0, se
     skipped = []
     for patch in patches:
         if per is None:
-            sub = noise.corrupted(dist, measured=patch).entries
+            sub = noise.corrupted(circuit, measured=patch).entries
             observed = {k: v for k, v in sub.items() if v > 0.0}
             freq = dict(observed)
         else:
-            counts = noise.sample(dist, per, rng, measured=patch)
+            counts = noise.sample(circuit, per, rng, measured=patch)
             observed = {k: v for k, v in counts.items() if v > 0}
             if epsilon > 0.0:
                 freq = {
@@ -486,13 +479,12 @@ def calibrate_patches(noise, plan, shots_per_circuit=None, seed=0):
 
 def run_cmc(circuit, noise, budget, cmap, separation=1, cull_threshold=DEFAULT_CULL, seed=0):
     """Patch-grouped calibration over the coupling map, joined and inverted."""
-    dist = _dist_of(circuit)
-    _check_register(dist, noise, cmap.num_qubits)
+    _check_register(circuit, noise, cmap.num_qubits)
     plan = greedy_patch_plan(cmap, separation)
     num_circuits = _num_circuits(plan)
     rng = _as_rng(seed)
     r, circuit_shots = _split_budget(budget, num_circuits)
-    mitigated = _mitigate_with_plan(noise, dist, plan, r, circuit_shots, rng, cull_threshold)
+    mitigated = _mitigate_with_plan(noise, circuit, plan, r, circuit_shots, rng, cull_threshold)
     return MethodResult(
         "cmc",
         mitigated,
@@ -526,8 +518,7 @@ def run_cmc_err(
     selects at most ``max_edges`` (default: register size) pairs by
     correlation weight to feed the patch-calibration pipeline.
     """
-    dist = _dist_of(circuit)
-    n = _check_register(dist, noise, cmap.num_qubits)
+    n = _check_register(circuit, noise, cmap.num_qubits)
     if not (0.0 < prepass_fraction < 1.0):
         raise ValueError("prepass_fraction must be in (0, 1)")
     rng = _as_rng(seed)
@@ -561,7 +552,7 @@ def run_cmc_err(
                 f"budget too small: {remaining} shots for {num_circuits} circuits"
             )
     mitigated = _mitigate_with_plan(
-        noise, dist, plan, r_cal, circuit_shots, rng, cull_threshold, singles
+        noise, circuit, plan, r_cal, circuit_shots, rng, cull_threshold, singles
     )
     return MethodResult(
         "cmc_err",
@@ -589,7 +580,7 @@ def run_cmc_err(
 
 _OPTION_KEYS = {
     "bare": set(),
-    "full": {"force"},
+    "full": set(),
     "linear": set(),
     "sim": set(),
     "aim": {"r1", "r2", "top_k"},

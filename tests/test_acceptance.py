@@ -121,7 +121,7 @@ def test_01_full_inversion_recovers_ideal_exactly():
     for n, channels in cases:
         ghz = ideal_ghz(n)
         result = run_full(ghz, NoiseModel(n, channels), None)
-        worst = max(worst, one_norm(result.mitigated, ghz.distribution))
+        worst = max(worst, one_norm(result.mitigated, ghz))
     dt = time.perf_counter() - t0
     ok = worst <= 1e-8 and dt < 1.0
     _report(1, "exact full-matrix inversion recovers the ideal distribution",
@@ -142,10 +142,10 @@ def test_02_patch_calibration_exact_when_noise_aligns_with_a_matching():
     t0 = time.perf_counter()
     ghz = ideal_ghz(4)
     result = run_cmc(ghz, model, None, cmap)
-    dist_err = one_norm(result.mitigated, ghz.distribution)
+    dist_err = one_norm(result.mitigated, ghz)
     ordered, _ = calibrate_patches(model, greedy_patch_plan(cmap, 1))
     forward = assemble_for_measured(ordered, tuple(range(4)))
-    frob = float(np.linalg.norm(forward.dense(4) - compose(channels, 4).matrix))
+    frob = float(np.linalg.norm(forward.dense(4) - compose(channels, 4).entries))
     dt = time.perf_counter() - t0
     ok = dist_err <= 1e-6 and frob <= 1e-6 and dt < 1.0
     _report(2, "patch calibration is exact for matching-aligned noise", ok,
@@ -429,7 +429,7 @@ def test_11_correlation_weights_flag_joint_flips_and_select_deterministically():
     a, b = _random_single(rng), _random_single(rng)
     independent = correlation_weights({0: a, 1: b}, {(0, 1): np.kron(a, b)})
     w_zero = independent.weights[(0, 1)]
-    pair = CalibrationMatrix((0, 1), correlated_channel((0, 1), "pairwise_flip", 0.1).matrix)
+    pair = correlated_channel((0, 1), "pairwise_flip", 0.1)
     singles = {q: normalized_partial_trace(pair, {q}) for q in (0, 1)}
     w_flip = correlation_weights(singles, {(0, 1): pair}).weights[(0, 1)]
     # equal-weight ties: selection must not depend on dict insertion order

@@ -33,7 +33,7 @@ def _random_dist(rng, n):
 
 
 def test_one_norm_examples():
-    ghz = ideal_ghz(2).distribution
+    ghz = ideal_ghz(2)
     assert one_norm(ghz, ghz) == 0.0
     a = Distribution({"00": 1.0}, 2)
     b = Distribution({"11": 1.0}, 2)
@@ -53,12 +53,12 @@ def test_one_norm_symmetry_and_triangle():
 
 
 def test_success_probability_examples():
-    ghz = ideal_ghz(5).distribution
+    ghz = ideal_ghz(5)
     assert success_probability(ghz, ghz) == pytest.approx(1.0)
     uniform = Distribution({format(i, "05b"): 1 / 32 for i in range(32)}, 5)
     assert success_probability(uniform, ghz) == pytest.approx(2 / 32)
     with pytest.raises(ValueError):
-        success_probability(uniform, ideal_ghz(4).distribution)
+        success_probability(uniform, ideal_ghz(4))
 
 
 # --- configuration --------------------------------------------------------------
@@ -245,7 +245,7 @@ def test_store_round_trip_is_bit_identical(tmp_path):
     path = tmp_path / "store.json"
     store.save(path)
     loaded = CalibrationStore.load(path)
-    observed = model.corrupted(ideal_ghz(4).distribution)
+    observed = model.corrupted(ideal_ghz(4))
     first = store.mitigate(observed)
     second = loaded.mitigate(observed)
     assert first.entries == second.entries
@@ -299,4 +299,15 @@ def test_store_with_nan_entry_fails_to_load(tmp_path):
     doc["matrices"][0]["entries"][0][0] = float("nan")
     path.write_text(json.dumps(doc))
     with pytest.raises(StoreError):
+        CalibrationStore.load(path)
+
+
+def test_store_with_a_five_qubit_patch_fails_to_load(tmp_path):
+    store, _ = _store_and_model()
+    path = tmp_path / "store.json"
+    store.save(path)
+    doc = json.loads(path.read_text())
+    doc["matrices"][0] = {"support": [0, 1, 2, 3, 4], "entries": np.eye(32).tolist()}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(StoreError, match="qubit bound"):
         CalibrationStore.load(path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cmcal.calibration import (
+    MAX_PATCH_QUBITS,
     CalibrationError,
     CalibrationMatrix,
     CountsRecord,
@@ -64,16 +65,25 @@ def random_stochastic(rng, dim, diag=6.0):
 
 
 def test_calibration_matrix_validates_columns():
+    # one validator for noise channels and calibrations alike
     good = CalibrationMatrix((0,), [[0.9, 0.1], [0.1, 0.9]])
     assert good.num_qubits == 1 and good.dim == 2
-    with pytest.raises(CalibrationError):
-        CalibrationMatrix((0,), [[0.9, 0.2], [0.2, 0.8]])
-    with pytest.raises(CalibrationError):
-        CalibrationMatrix((0,), [[1.1, 0.1], [-0.1, 0.9]])
-    with pytest.raises(CalibrationError):
-        CalibrationMatrix((1, 0), np.eye(4))
-    with pytest.raises(CalibrationError):
-        CalibrationMatrix((0, 1), np.eye(2))
+    near = CalibrationMatrix((0,), [[0.9 + 1e-10, 0.1], [0.1, 0.9]])
+    assert near.entries[0, 0] == 0.9 + 1e-10
+    wide = CalibrationMatrix(tuple(range(MAX_PATCH_QUBITS + 1)), np.eye(1 << (MAX_PATCH_QUBITS + 1)))
+    assert wide.num_qubits == MAX_PATCH_QUBITS + 1
+    bad = [
+        ((0,), [[1.1, 0.1], [-0.1, 0.9]], "negative"),
+        ((0,), [[1.0 + 1e-12, 0.0], [-1e-12, 1.0]], "negative"),
+        ((0,), [[0.9 + 1e-6, 0.1], [0.1, 0.9]], "sum to 1"),
+        ((0, 1), np.eye(2), "does not match"),
+        ((0,), np.ones((2, 3)) / 2, "square"),
+        ((1, 0), np.eye(4), "ascending"),
+        ((), np.eye(1), "empty"),
+    ]
+    for support, entries, message in bad:
+        with pytest.raises(CalibrationError, match=message):
+            CalibrationMatrix(support, entries)
 
 
 def test_calibration_matrix_rejects_non_finite_entries():
@@ -91,8 +101,12 @@ def test_calibration_matrix_entries_frozen():
 
 
 def test_patch_size_bound():
-    with pytest.raises(CalibrationError):
-        CalibrationMatrix(tuple(range(5)), np.eye(32))
+    # the bound holds where patches enter the calibration path, not on the type
+    wide = CalibrationMatrix(tuple(range(MAX_PATCH_QUBITS + 1)), np.eye(1 << (MAX_PATCH_QUBITS + 1)))
+    with pytest.raises(CalibrationError, match="qubit bound"):
+        assemble_for_measured([wide], range(MAX_PATCH_QUBITS + 1))
+    with pytest.raises(CalibrationError, match="qubit bound"):
+        assemble_for_measured([((0, 1), np.eye(4)), wide], (0, 1))
 
 
 def test_counts_record_roundtrip_and_validation():

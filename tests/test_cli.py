@@ -69,7 +69,7 @@ def test_calibrate_and_err_map(tmp_path, capsys):
 def test_mitigate_counts_file(tmp_path):
     store_path, spec = _calibrated_store(tmp_path)
     model = NoiseModel.from_spec(4, spec)
-    ideal = ideal_ghz(4).distribution
+    ideal = ideal_ghz(4)
     counts = model.sample(ideal, 40000, seed=3)
     counts_path = tmp_path / "counts.json"
     counts_path.write_text(json.dumps(counts))

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from cmcal.calibration import (
+    MAX_PATCH_QUBITS,
     CalibrationError,
+    CalibrationMatrix,
     Distribution,
     SparseCalibration,
     apply,
@@ -10,8 +14,6 @@ from cmcal.calibration import (
 )
 from cmcal.noise import (
     _DENSE_CORRUPT_QUBITS,
-    IdealDistribution,
-    MeasurementChannel,
     NoiseModel,
     NoiseSpec,
     compose,
@@ -31,12 +33,12 @@ from cmcal.topology import CouplingMap, generate_architecture
 
 
 def test_state_dependent_channel_values():
-    assert np.array_equal(state_dependent_channel(0, 0).matrix, np.eye(2))
+    assert np.array_equal(state_dependent_channel(0, 0).entries, np.eye(2))
     ch = state_dependent_channel(0.02, 0.08)
-    assert np.allclose(ch.matrix, [[0.98, 0.08], [0.02, 0.92]])
+    assert np.allclose(ch.entries, [[0.98, 0.08], [0.02, 0.92]])
     assert ch.support == (0,)
     flip = state_dependent_channel(1, 1)
-    assert np.array_equal(flip.matrix, [[0, 1], [1, 0]])
+    assert np.array_equal(flip.entries, [[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         state_dependent_channel(-0.1, 0.5)
     with pytest.raises(ValueError):
@@ -48,13 +50,13 @@ def test_correlated_channel_forms():
     expect = np.zeros((16, 16))
     for v in range(16):
         expect[v ^ 15, v] = 1.0
-    assert np.array_equal(full.matrix, expect)
-    assert np.array_equal(correlated_channel((1, 4), "pairwise_flip", 0.0).matrix, np.eye(4))
+    assert np.array_equal(full.entries, expect)
+    assert np.array_equal(correlated_channel((1, 4), "pairwise_flip", 0.0).entries, np.eye(4))
     pair = correlated_channel((0, 1), "pairwise_flip", 0.1)
     xx = np.zeros((4, 4))
     for v in range(4):
         xx[v ^ 3, v] = 1.0
-    assert np.allclose(pair.matrix, 0.9 * np.eye(4) + 0.1 * xx)
+    assert np.allclose(pair.entries, 0.9 * np.eye(4) + 0.1 * xx)
 
 
 def test_correlated_channel_validation():
@@ -68,12 +70,43 @@ def test_correlated_channel_validation():
         correlated_channel((0, 1), "pairwise_flip", 1.2)
 
 
+def _spec_with_matrix(support, matrix):
+    doc = {"correlated": [{"support": support, "matrix": matrix}]}
+    return NoiseSpec.from_json(json.dumps(doc))
+
+
+def test_channel_rejects_non_finite_entries():
+    # channels are CalibrationMatrix objects, so a NoiseSpec document with a
+    # non-finite matrix fails on load, and NaN rates fail the range check
+    with pytest.raises(CalibrationError, match="non-finite"):
+        _spec_with_matrix([0], [[np.nan, 0.0], [np.nan, 1.0]])
+    with pytest.raises(CalibrationError, match="non-finite"):
+        _spec_with_matrix([0], [[np.inf, 0.0], [-np.inf, 1.0]])
+    with pytest.raises(ValueError):
+        state_dependent_channel(np.nan, 0.1)
+    with pytest.raises(ValueError):
+        correlated_channel((0, 1), "pairwise_flip", np.nan)
+
+
+def test_channel_validation():
+    with pytest.raises(CalibrationError, match="ascending"):
+        _spec_with_matrix([1, 0], np.eye(4).tolist())
+    with pytest.raises(CalibrationError, match="does not match"):
+        _spec_with_matrix([0], np.eye(4).tolist())
+    with pytest.raises(CalibrationError, match="sum to 1"):
+        _spec_with_matrix([0], [[0.5, 0.5], [0.4, 0.5]])
+    with pytest.raises(CalibrationError, match="negative"):
+        _spec_with_matrix([0], [[1.1, -0.1], [-0.1, 1.1]])
+    ok = _spec_with_matrix([0, 1], np.eye(4).tolist())
+    assert np.array_equal(ok.correlated[0].entries, np.eye(4))
+
+
 def test_joint_flip_exceeds_product_of_marginals():
     p = 0.1
     pair = correlated_channel((4, 7), "pairwise_flip", p)
     # prepared 00: joint flip lands on 11 with probability p, while each
     # marginal alone misreads with probability p — product p*p is smaller
-    col = pair.matrix[:, 0]
+    col = pair.entries[:, 0]
     joint = col[3]
     marg_first = col[2] + col[3]
     marg_second = col[1] + col[3]
@@ -81,33 +114,15 @@ def test_joint_flip_exceeds_product_of_marginals():
     assert marg_first * marg_second < joint
 
 
-def test_channel_rejects_non_finite_entries():
-    with pytest.raises(ValueError, match="finite"):
-        MeasurementChannel((0,), [[np.nan, 0.0], [np.nan, 1.0]])
-    with pytest.raises(ValueError, match="finite"):
-        MeasurementChannel((0,), [[np.inf, 0.0], [-np.inf, 1.0]])
-
-
-def test_channel_validation():
-    with pytest.raises(ValueError):
-        MeasurementChannel((1, 0), np.eye(4))
-    with pytest.raises(ValueError):
-        MeasurementChannel((0,), np.eye(4))
-    with pytest.raises(ValueError):
-        MeasurementChannel((0,), [[0.5, 0.5], [0.4, 0.5]])
-    with pytest.raises(ValueError):
-        MeasurementChannel((0,), [[1.1, -0.1], [-0.1, 1.1]])
-
-
 def test_channels_are_column_stochastic():
     rng = np.random.default_rng(0)
     for _ in range(10):
         p01, p10 = rng.uniform(0, 1, 2)
         ch = state_dependent_channel(p01, p10)
-        assert np.abs(ch.matrix.sum(axis=0) - 1).max() <= 1e-12
+        assert np.abs(ch.entries.sum(axis=0) - 1).max() <= 1e-12
     for kind, sup in [("pairwise_flip", (0, 1)), ("triplet_flip", (0, 2, 5)), ("flip_all", (0, 1, 2, 3))]:
         ch = correlated_channel(sup, kind, 0.37)
-        assert np.abs(ch.matrix.sum(axis=0) - 1).max() <= 1e-12
+        assert np.abs(ch.entries.sum(axis=0) - 1).max() <= 1e-12
 
 
 # --- compose --------------------------------------------------------------------
@@ -116,33 +131,33 @@ def test_channels_are_column_stochastic():
 def test_compose_identities():
     ident = [state_dependent_channel(0, 0, qubit=q) for q in range(2)]
     out = compose(ident, 2)
-    assert np.allclose(out.matrix, np.eye(4))
+    assert np.allclose(out.entries, np.eye(4))
 
 
 def test_compose_disjoint_supports_is_tensor_product():
     a = state_dependent_channel(0.1, 0.2, qubit=0)
     b = state_dependent_channel(0.3, 0.05, qubit=1)
-    ab = compose([a, b], 2).matrix
-    ba = compose([b, a], 2).matrix
-    assert np.allclose(ab, np.kron(a.matrix, b.matrix))
+    ab = compose([a, b], 2).entries
+    ba = compose([b, a], 2).entries
+    assert np.allclose(ab, np.kron(a.entries, b.entries))
     assert np.allclose(ab, ba)
 
 
 def test_compose_overlapping_is_order_dependent():
     a = correlated_channel((0, 1), "pairwise_flip", 0.4)
-    b = MeasurementChannel((1, 2), np.kron([[0.7, 0.0], [0.3, 1.0]], np.eye(2)))
-    ab = compose([a, b], 3).matrix
-    ba = compose([b, a], 3).matrix
+    b = CalibrationMatrix((1, 2), np.kron([[0.7, 0.0], [0.3, 1.0]], np.eye(2)))
+    ab = compose([a, b], 3).entries
+    ba = compose([b, a], 3).entries
     assert not np.allclose(ab, ba)
 
 
-def test_compose_lazy_for_large_registers():
+def test_compose_register_checks():
     chs = [state_dependent_channel(0.1, 0.1, qubit=q) for q in range(12)]
-    out = compose(chs, 12)
-    assert isinstance(out, tuple)
-    assert len(out) == 12
     with pytest.raises(ValueError):
         compose(chs, 5)
+    # refused before a 2^15 x 2^15 identity is allocated
+    with pytest.raises(CalibrationError, match="dense"):
+        compose([], 15)
 
 
 # --- NoiseSpec ------------------------------------------------------------------
@@ -167,7 +182,7 @@ def test_noise_spec_json_roundtrip():
     again = NoiseSpec.from_json(spec.to_json())
     assert again.per_qubit == spec.per_qubit
     assert again.gate_flip == spec.gate_flip
-    assert np.allclose(again.correlated[0].matrix, spec.correlated[0].matrix)
+    assert np.allclose(again.correlated[0].entries, spec.correlated[0].entries)
 
 
 def test_noise_spec_json_accepts_kind_shorthand():
@@ -176,7 +191,7 @@ def test_noise_spec_json_accepts_kind_shorthand():
         '"correlated": [{"support": [0, 1], "kind": "pairwise_flip", "p": 0.3}]}'
     )
     oracle = correlated_channel((0, 1), "pairwise_flip", 0.3)
-    assert np.allclose(spec.correlated[0].matrix, oracle.matrix)
+    assert np.allclose(spec.correlated[0].entries, oracle.entries)
 
 
 def test_noise_spec_validation():
@@ -192,7 +207,7 @@ def test_noise_spec_validation():
 
 
 def _dense_oracle(model, ideal):
-    mat = compose(model.channels, model.num_qubits).matrix
+    mat = compose(model.channels, model.num_qubits).entries
     vec = np.zeros(1 << model.num_qubits)
     for bits, p in ideal.entries.items():
         vec[int(bits, 2)] = p
@@ -206,12 +221,27 @@ def test_corrupted_matches_dense_oracle():
     spec = NoiseSpec.random(n, seed=5)
     channels = spec.channels(n) + (correlated_channel((1, 2), "pairwise_flip", 0.15),)
     model = NoiseModel(n, channels)
-    ideal = ideal_ghz(n).distribution
+    ideal = ideal_ghz(n)
     got = model.corrupted(ideal)
     want = _dense_oracle(model, ideal)
     assert set(got.entries) == set(want)
     for k, v in want.items():
         assert got.entries[k] == pytest.approx(v, abs=1e-12)
+
+
+def test_wide_flip_all_channel_corrupts_like_the_dense_oracle():
+    # a channel may be wider than a calibration patch
+    n = MAX_PATCH_QUBITS + 1
+    flip_all = correlated_channel(tuple(range(n)), "flip_all", 0.2)
+    assert isinstance(flip_all, CalibrationMatrix) and flip_all.num_qubits == n
+    model = NoiseModel(n, NoiseSpec.random(n, seed=12).channels(n) + (flip_all,))
+    cmap = generate_architecture("linear", num_qubits=n)
+    for ideal in (ghz_distribution(cmap, 0.01), Distribution.point_mass("10110")):
+        got = model.corrupted(ideal)
+        want = _dense_oracle(model, ideal)
+        assert set(got.entries) == set(want)
+        for k, v in want.items():
+            assert got.entries[k] == pytest.approx(v, abs=1e-12)
 
 
 def test_corrupted_subset_suppresses_unmeasured_correlations():
@@ -253,9 +283,9 @@ def test_dense_corruption_equals_the_sparse_apply_bit_for_bit(measured):
     region = tuple(range(n)) if measured is None else measured
     fired = [ch for ch in reversed(model.channels) if set(ch.support) <= set(region)]
     forward = SparseCalibration(
-        [(tuple(region.index(q) for q in ch.support), ch.matrix) for ch in fired], "forward"
+        [(tuple(region.index(q) for q in ch.support), ch.entries) for ch in fired], "forward"
     )
-    for ideal in (ideal_ghz(n).distribution, Distribution.point_mass("10110010")):
+    for ideal in (ideal_ghz(n), Distribution.point_mass("10110010")):
         sub = ideal if measured is None else ideal.marginal(measured)
         want = apply(forward, sub, cull_threshold=0.0)
         got = model.corrupted(ideal, measured)
@@ -360,9 +390,9 @@ def test_model_validation():
 
 
 def test_ideal_ghz_forms():
-    assert ideal_ghz(1).distribution.entries == {"0": 0.5, "1": 0.5}
-    assert ideal_ghz(5).distribution.entries == {"00000": 0.5, "11111": 0.5}
-    assert ideal_ghz(7).distribution.total() == pytest.approx(1.0)
+    assert ideal_ghz(1).entries == {"0": 0.5, "1": 0.5}
+    assert ideal_ghz(5).entries == {"00000": 0.5, "11111": 0.5}
+    assert ideal_ghz(7).total() == pytest.approx(1.0)
     with pytest.raises(ValueError):
         ideal_ghz(0)
 
@@ -394,16 +424,14 @@ def test_ghz_distribution_gate_flip_oracle():
     cmap = generate_architecture("linear", num_qubits=2)
     g = 0.01
     dist = ghz_distribution(cmap, g)
-    assert dist.provenance == "simulated"
-    assert dist.distribution.entries == {
+    assert dist.entries == {
         "00": pytest.approx(0.5 * (1 - g)),
         "01": pytest.approx(0.5 * g),
         "10": pytest.approx(0.5 * g),
         "11": pytest.approx(0.5 * (1 - g)),
     }
     clean = ghz_distribution(cmap, 0.0)
-    assert clean.provenance == "analytic"
-    assert clean.distribution.entries == ideal_ghz(2).distribution.entries
+    assert clean.entries == ideal_ghz(2).entries
 
 
 def test_ghz_invariant_under_flip_all():
@@ -496,10 +524,3 @@ def test_x_chain_validation():
         x_chain_experiment(5, ch, shots=100, seed=0)
     with pytest.raises(ValueError):
         x_chain_experiment(0, state_dependent_channel(0, 0), shots=100, seed=0)
-
-
-def test_ideal_distribution_validation():
-    with pytest.raises(ValueError):
-        IdealDistribution(Distribution({"00": 0.4}, 2))
-    with pytest.raises(ValueError):
-        IdealDistribution(Distribution({"00": 1.0}, 2), "guessed")

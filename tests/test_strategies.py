@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cmcal.calibration import Distribution
+from cmcal.calibration import CalibrationError, Distribution
 from cmcal.noise import (
     NoiseModel,
     NoiseSpec,
@@ -59,6 +59,8 @@ def test_strategy_config_validation():
         StrategyConfig("tomography")
     with pytest.raises(ValueError):
         StrategyConfig("bare", {"separation": 2})
+    with pytest.raises(ValueError):
+        StrategyConfig("full", {"force": True})
 
 
 # --- noiseless fixed point ---------------------------------------------------------
@@ -80,7 +82,7 @@ def test_all_methods_recover_ideal_without_noise():
         run_cmc_err(ideal, noise, None, cmap),
     ]
     for res in results:
-        assert one_norm(res.mitigated, ideal.distribution) < 1e-9, res.method
+        assert one_norm(res.mitigated, ideal) < 1e-9, res.method
 
 
 # --- bare -------------------------------------------------------------------------
@@ -109,7 +111,7 @@ def test_full_exact_recovery():
         ),
     )
     res = run_full(ideal_ghz(n), model, None)
-    assert one_norm(res.mitigated, ideal_ghz(n).distribution) < 1e-10
+    assert one_norm(res.mitigated, ideal_ghz(n)) < 1e-10
 
 
 def test_full_counts_calibration_circuits():
@@ -127,6 +129,17 @@ def test_full_register_guard():
         run_full(ideal_ghz(n), quiet_model(n), None)
 
 
+def test_full_singular_matrix_raises():
+    # a readout that forgets qubit 0 makes the dense matrix exactly singular
+    model = NoiseModel(2, (state_dependent_channel(0.5, 0.5, qubit=0),))
+    with pytest.raises(CalibrationError, match="singular"):
+        run_full(ideal_ghz(2), model, None)
+    # qubit 0 always reads 1, so sampled columns repeat exactly too
+    stuck = NoiseModel(2, (state_dependent_channel(1.0, 0.0, qubit=0),))
+    with pytest.raises(CalibrationError, match="shots per basis state: 250"):
+        run_full(ideal_ghz(2), stuck, ShotBudget(2000), seed=0)
+
+
 def test_full_budget_too_small():
     n = 4
     with pytest.raises(ValueError):
@@ -142,7 +155,7 @@ def test_linear_matches_full_under_independent_noise():
     lin = run_linear(ideal_ghz(n), model, None)
     ful = run_full(ideal_ghz(n), model, None)
     assert one_norm(lin.mitigated, ful.mitigated) < 1e-9
-    assert one_norm(lin.mitigated, ideal_ghz(n).distribution) < 1e-9
+    assert one_norm(lin.mitigated, ideal_ghz(n)) < 1e-9
 
 
 def test_linear_leaves_correlated_component():
@@ -209,7 +222,7 @@ def test_aim_all_masks_degenerates_to_uniform_average():
     for mask in masks:
         flipped = Distribution(
             {format(int(k, 2) ^ int(mask, 2), f"0{n}b"): v
-             for k, v in ideal.distribution.entries.items()},
+             for k, v in ideal.entries.items()},
             n,
         )
         observed = model.corrupted(flipped)
@@ -331,7 +344,7 @@ def test_cmc_exact_recovery_for_matching_aligned_noise():
         ),
     )
     res = run_cmc(ideal_ghz(n), model, None, chain(n))
-    assert one_norm(res.mitigated, ideal_ghz(n).distribution) < 1e-6
+    assert one_norm(res.mitigated, ideal_ghz(n)) < 1e-6
 
 
 def test_cmc_circuit_counting_matches_plan():
@@ -354,9 +367,7 @@ def test_cmc_improves_on_bare_with_sampling():
     budget = ShotBudget(64000)
     bare = run_bare(ideal, model, budget, seed=0)
     cmc = run_cmc(ideal, model, budget, chain(n), seed=0)
-    assert one_norm(cmc.mitigated, ideal.distribution) < one_norm(
-        bare.mitigated, ideal.distribution
-    )
+    assert one_norm(cmc.mitigated, ideal) < one_norm(bare.mitigated, ideal)
 
 
 def test_cmc_budget_too_small():
@@ -380,7 +391,7 @@ def test_cmc_err_finds_aligned_noisy_edges():
     )
     res = run_cmc_err(ideal_ghz(n), model, None, chain(n))
     assert {(0, 1), (2, 3)} <= set(res.diagnostics["err_edges"])
-    assert one_norm(res.mitigated, ideal_ghz(n).distribution) < 1e-6
+    assert one_norm(res.mitigated, ideal_ghz(n)) < 1e-6
 
 
 def test_cmc_err_catches_off_map_correlations():
@@ -389,9 +400,9 @@ def test_cmc_err_catches_off_map_correlations():
     model = NoiseModel(n, (correlated_channel((0, 2), "pairwise_flip", 0.4),))
     res = run_cmc_err(ideal_ghz(n), model, None, chain(n), locality=2)
     assert (0, 2) in res.diagnostics["err_edges"]
-    assert one_norm(res.mitigated, ideal_ghz(n).distribution) < 1e-6
+    assert one_norm(res.mitigated, ideal_ghz(n)) < 1e-6
     plain = run_cmc(ideal_ghz(n), model, None, chain(n))
-    assert one_norm(plain.mitigated, ideal_ghz(n).distribution) > 0.01
+    assert one_norm(plain.mitigated, ideal_ghz(n)) > 0.01
 
 
 def test_cmc_err_caps_patch_count_on_dense_maps():
