@@ -18,12 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import (
-    DEFAULT_CULL,
     MAX_PATCH_QUBITS,
     CalibrationError,
     CalibrationMatrix,
     CountsRecord,
     Distribution,
+    SparseCalibration,
+    _ordered_sum,
     apply,
     assemble_for_measured,
     invert,
@@ -67,19 +68,21 @@ def _check_sizes(a: Distribution, b: Distribution):
 
 
 def one_norm(a: Distribution, b: Distribution) -> float:
-    """Total variation-style distance sum |a(s) - b(s)| over both supports."""
+    """Total variation-style distance sum |a(s) - b(s)| over both supports,
+    accumulated in index order."""
     _check_sizes(a, b)
-    # sorted so the accumulation order (and hence the rounded result) does
-    # not depend on the process's string-hash seed
-    keys = sorted(set(a.entries) | set(b.entries))
-    return float(sum(abs(a.entries.get(k, 0.0) - b.entries.get(k, 0.0)) for k in keys))
+    union = np.union1d(a.index, b.index)
+    diff = np.zeros(union.size)
+    diff[np.searchsorted(union, a.index)] = a.weights
+    diff[np.searchsorted(union, b.index)] -= b.weights
+    return _ordered_sum(np.abs(diff))
 
 
 def success_probability(observed: Distribution, verified: Distribution) -> float:
     """Observed mass landing on the verified distribution's support."""
     _check_sizes(observed, verified)
-    support = sorted(k for k, v in verified.entries.items() if v > 0.0)
-    mass = sum(observed.entries.get(k, 0.0) for k in support)
+    support = verified.index[verified.weights > 0.0]
+    mass = _ordered_sum(observed.weights[np.isin(observed.index, support)])
     return float(min(max(mass, 0.0), 1.0))
 
 
@@ -278,15 +281,20 @@ def run_experiment(config: ExperimentConfig) -> list:
     Trial ``t`` draws its noise from a stream derived from ``(seed, t)`` and
     method ``i`` samples from ``(seed, t, i)``, so methods within a trial see
     the same channel and reruns reproduce every record exactly.  A strategy
-    error becomes an error record instead of aborting the sweep.
+    error becomes an error record instead of aborting the sweep, and so does
+    a register too wide for a :class:`Distribution`.
     """
     cmap = _build_coupling_map(config.architecture)
     n = cmap.num_qubits
-    reference = ideal_ghz(n)
     kind = config.noise.get("kind", "random")
     fixed = _fixed_spec(config.noise) if kind == "fixed" else None
     gate_flip = fixed.gate_flip if fixed is not None else 0.0
-    circuit = ghz_distribution(cmap, gate_flip)
+    unfit = None
+    try:
+        reference = ideal_ghz(n)
+        circuit = ghz_distribution(cmap, gate_flip)
+    except CalibrationError as exc:  # e.g. a register past the index bound
+        unfit = exc
     budget = ShotBudget(config.shots)
     sink = _CsvSink(config.out) if config.out else None
     records = []
@@ -306,6 +314,8 @@ def run_experiment(config: ExperimentConfig) -> list:
                 seed = derived_seed(config.seed, trial, index)
                 start = time.perf_counter()
                 try:
+                    if unfit is not None:
+                        raise unfit
                     result = run_method(method, circuit, model, budget, cmap=cmap, seed=seed)
                 except (CalibrationError, ValueError) as exc:
                     logger.warning("%s failed on trial %d: %s", method.method, trial, exc)
@@ -404,19 +414,25 @@ class CalibrationStore:
     def qubits(self) -> tuple:
         return tuple(sorted({q for m in self.matrices for q in m.support} | set(self.singles)))
 
-    def mitigate(self, dist: Distribution, measured=None, cull_threshold=DEFAULT_CULL) -> Distribution:
+    def mitigate(self, dist: Distribution, measured=None) -> Distribution:
         """Mitigate ``dist`` with the stored patches joined over ``measured``.
 
-        Count keys stay register-wide even when ``measured`` names a subset:
-        ``dist.n`` is the register size and the unmeasured positions are
-        placeholders.  Measured-width keys, such as those of
-        ``NoiseModel.sample(..., measured=...)``, must be scattered back into
-        register positions first.
+        ``dist`` is either register-wide (``dist.n`` is the register size and
+        unmeasured positions are placeholders) or, when ``dist.n`` equals the
+        number of measured qubits, measured-width: bit ``i`` belongs to the
+        ``i``-th measured qubit in ascending order, as in the counts of
+        ``NoiseModel.sample(..., measured=...)``.  The result has the width
+        of ``dist``.  Only ``measured == range(dist.n)`` fits both readings,
+        and there they agree.
         """
-        if measured is None:
-            measured = range(dist.n)
-        forward = assemble_for_measured(self.matrices, measured, singles=self.singles or None)
-        return apply(invert(forward), dist, cull_threshold=cull_threshold)
+        qubits = sorted({int(q) for q in (range(dist.n) if measured is None else measured)})
+        forward = assemble_for_measured(self.matrices, qubits, singles=self.singles or None)
+        if len(qubits) == dist.n:
+            pos = {q: i for i, q in enumerate(qubits)}
+            forward = SparseCalibration(
+                tuple((tuple(pos[q] for q in sup), arr) for sup, arr in forward.factors)
+            )
+        return apply(invert(forward), dist)
 
     def to_doc(self) -> dict:
         return {
@@ -429,15 +445,7 @@ class CalibrationStore:
             ],
             "plan": json.loads(self.plan.to_json()) if self.plan is not None else None,
             "singles": {str(q): m.entries.tolist() for q, m in self.singles.items()},
-            "records": [
-                {
-                    "support": list(r.support),
-                    "prepared": r.prepared,
-                    "counts": dict(r.counts),
-                    "shots": r.shots,
-                }
-                for r in self.records
-            ],
+            "records": [r.to_json() for r in self.records],
         }
 
     def save(self, path):
@@ -463,10 +471,7 @@ class CalibrationStore:
                 int(q): CalibrationMatrix((int(q),), np.array(entries))
                 for q, entries in doc.get("singles", {}).items()
             }
-            records = tuple(
-                CountsRecord(tuple(r["support"]), r["prepared"], r["counts"], r["shots"])
-                for r in doc.get("records", [])
-            )
+            records = tuple(CountsRecord.from_json(r) for r in doc.get("records", []))
             return cls(
                 arch_id=doc["arch_id"],
                 created=doc["created"],
@@ -477,7 +482,7 @@ class CalibrationStore:
             )
         except StoreError:
             raise
-        except (KeyError, TypeError, ValueError, CalibrationError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise StoreError(f"corrupted calibration store: {exc}") from exc
 
     @classmethod

@@ -4,8 +4,14 @@ A calibration matrix over a small qubit support is column-stochastic:
 ``entries[observed, prepared]`` is the probability of reading ``observed``
 after preparing ``prepared``.  Register-scale calibrations are never
 materialized; they are kept as an ordered list of small factors
-(:class:`SparseCalibration`) that is applied to bitstring-indexed
-distributions one factor at a time.
+(:class:`SparseCalibration`) that is applied to a :class:`Distribution`'s
+basis-index arrays one factor at a time.
+
+One basis convention everywhere: qubit ``q`` of an ``n``-qubit register is
+bit ``n - 1 - q`` of its basis index, so qubit 0 is the most significant bit
+and the leftmost character of the register's bitstring.  Local matrices over
+a support ``(q0 < q1 < ...)`` index their rows and columns the same way, so
+the lowest support qubit is the most significant bit of the local index.
 
 Overlapping patches that share qubits are merged with order-adjusted
 factors: each shared qubit's single-qubit marginal is split into fractional
@@ -18,19 +24,11 @@ channel exactly; in general it is the patched approximation.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
+from types import MappingProxyType
 
 import numpy as np
-
-from ._basis import (
-    bits_to_index,
-    extract_bits,
-    extract_index,
-    index_to_bits,
-    scatter_index,
-    support_mask,
-)
 
 logger = logging.getLogger(__name__)
 
@@ -81,15 +79,57 @@ def normalize_columns(arr: np.ndarray) -> np.ndarray:
     return arr / sums
 
 
-def _first_bad_key(keys, width):
-    """First key that is not a ``width``-character string of 0s and 1s, or None.
+def support_mask(support: tuple[int, ...], n: int) -> int:
+    """Register index with the bits of the (distinct) ``support`` qubits set."""
+    return sum(1 << (n - 1 - q) for q in support)
 
-    The common all-valid case is checked in two C-level passes: one over the
-    key lengths, one over the joined characters.
+
+def extract_index(idx: np.ndarray, support: tuple[int, ...], n: int) -> np.ndarray:
+    """Vectorized projection of register indices onto local support indices."""
+    p = len(support)
+    out = np.zeros_like(idx)
+    for pos, q in enumerate(support):
+        out |= ((idx >> np.uint64(n - 1 - q)) & np.uint64(1)) << np.uint64(p - 1 - pos)
+    return out
+
+
+def _parse_bits(keys, width: int, fits: str) -> np.ndarray:
+    """``uint64`` basis indices of ``width``-character bitstrings, qubit 0 first.
+
+    All keys are checked in a few array passes; a key that is not such a
+    string raises ``CalibrationError(f"key {key!r} {fits}")`` for the first one.
     """
-    if not keys or (set(map(len, keys)) == {width} and not "".join(keys).strip("01")):
-        return None
-    return next(k for k in keys if len(k) != width or k.strip("01"))
+    keys = list(keys)
+    if set(map(len, keys)) <= {width}:
+        # a non-ASCII character becomes "?", which fails the 0/1 test below
+        raw = np.frombuffer("".join(keys).encode("ascii", "replace"), dtype=np.uint8)
+        bits = raw.reshape(-1, width) - np.uint8(48)
+        if not (bits > 1).any():
+            place = np.uint64(1) << np.arange(width)[::-1].astype(np.uint64)
+            return bits.astype(np.uint64) @ place
+    bad = next(k for k in keys if len(k) != width or k.strip("01"))
+    raise CalibrationError(f"key {bad!r} {fits}")
+
+
+def _as_counts(values) -> np.ndarray:
+    """``values`` as a float64 array, checked to be non-negative integers."""
+    counts = np.fromiter(values, dtype=float)
+    if not (np.isfinite(counts) & (counts >= 0.0) & (counts == np.floor(counts))).all():
+        raise CalibrationError("counts must be non-negative integers")
+    return counts
+
+
+def _ordered_sum(values: np.ndarray) -> float:
+    """Left-to-right sum in array order: unlike ``np.sum``'s pairwise blocks,
+    its rounding depends only on the order of the values, which index order fixes."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
+def _summed(index: np.ndarray, weights: np.ndarray):
+    """Distinct sorted indices and the weights summed onto each, every sum
+    taken in input order."""
+    uniq, inverse = np.unique(index, return_inverse=True)
+    return uniq, np.bincount(inverse, weights=weights, minlength=uniq.size)
 
 
 @dataclass(frozen=True)
@@ -138,7 +178,8 @@ class CalibrationMatrix:
 
 @dataclass(frozen=True)
 class CountsRecord:
-    """Observed counts for one preparation over one support."""
+    """Observed counts for one preparation over one support; ``index`` holds
+    the keys of ``counts`` as local basis indices."""
 
     support: tuple[int, ...]
     prepared: str
@@ -146,6 +187,7 @@ class CountsRecord:
     shots: int
     device: str = "simulated"
     timestamp: str = ""
+    index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sup = _as_support(self.support)
@@ -155,16 +197,12 @@ class CountsRecord:
             raise CalibrationError(f"prepared pattern {self.prepared!r} does not fit support {sup}")
         if self.shots <= 0:
             raise CalibrationError("shots must be positive")
-        bad = _first_bad_key(self.counts, p)
-        if bad is not None:
-            raise CalibrationError(f"counts key {bad!r} does not fit support {sup}")
-        total = 0
-        for value in self.counts.values():
-            if value < 0:
-                raise CalibrationError("negative count")
-            total += value
+        index = _parse_bits(self.counts, p, f"does not fit support {sup}")
+        total = int(_as_counts(self.counts.values()).sum())
         if total != self.shots:
             raise CalibrationError(f"counts sum {total} != shots {self.shots}")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "counts", {k: int(v) for k, v in self.counts.items()})
 
     def to_json(self) -> dict:
         return {
@@ -181,59 +219,125 @@ class CountsRecord:
         return cls(
             support=tuple(obj["support"]),
             prepared=obj["prepared"],
-            counts={k: int(v) for k, v in obj["counts"].items()},
+            counts=dict(obj["counts"]),
             shots=int(obj["shots"]),
             device=obj.get("device", "simulated"),
             timestamp=obj.get("timestamp", ""),
         )
 
 
-@dataclass
+def _as_register(n) -> int:
+    if n <= 0:
+        raise CalibrationError("register size must be positive")
+    if n > MAX_REGISTER_QUBITS:
+        raise CalibrationError(
+            f"register of {n} qubits exceeds the {MAX_REGISTER_QUBITS}-qubit index bound"
+        )
+    return int(n)
+
+
 class Distribution:
-    """Sparse distribution over register bitstrings.
+    """Sparse distribution over the basis states of an ``n``-qubit register.
+
+    One representation: ``index``, the sorted distinct basis indices as a
+    read-only ``uint64`` array (qubit 0 is the most significant bit), and
+    ``weights``, their ``float64`` weights in the same order.  Every internal
+    path works on these arrays.  Bitstrings appear only at the edges: the
+    ``Distribution({bitstring: weight}, n)`` constructor, :meth:`from_counts`,
+    :meth:`point_mass`, and the read-only :attr:`entries` view, formatted on
+    first use.  :meth:`from_arrays` builds one from indices directly.
 
     Intermediate stages of mitigation may hold quasi-probabilities (negative
     or non-normalized weights); :meth:`finalized` clamps and renormalizes.
     """
 
-    entries: dict[str, float]
-    n: int
+    __slots__ = ("index", "weights", "n", "_entries")
 
-    def __post_init__(self):
-        if self.n <= 0:
-            raise CalibrationError("register size must be positive")
-        bad = _first_bad_key(self.entries, self.n)
-        if bad is not None:
-            raise CalibrationError(f"key {bad!r} is not a {self.n}-bit string")
+    def __init__(self, entries, n: int):
+        n = _as_register(n)
+        try:
+            weights = np.fromiter(entries.values(), dtype=float, count=len(entries))
+        except (TypeError, ValueError) as exc:
+            raise CalibrationError(f"weights must be numbers: {exc}") from None
+        self._set(_parse_bits(entries, n, f"is not a {n}-bit string"), weights, n)
+
+    def _set(self, index: np.ndarray, weights: np.ndarray, n: int):
+        if index.shape != weights.shape or index.ndim != 1:
+            raise CalibrationError("index and weight arrays must be 1-D and of equal length")
+        if index.size > 1 and not (index[1:] > index[:-1]).all():
+            order = np.argsort(index, kind="stable")
+            index, weights = index[order], weights[order]
+            if (index[1:] == index[:-1]).any():
+                raise CalibrationError("repeated basis index")
+        if index.size and n < MAX_REGISTER_QUBITS and index[-1] >> np.uint64(n):
+            raise CalibrationError(f"basis index {index[-1]} exceeds {n} qubits")
+        index.flags.writeable = False
+        weights.flags.writeable = False
+        self.index, self.weights, self.n = index, weights, n
+        self._entries = None
+
+    @classmethod
+    def from_arrays(cls, index, weights, n: int) -> "Distribution":
+        """From copies of distinct basis indices, in any order, and their weights."""
+        return cls._adopt(np.array(index, dtype=np.uint64), np.array(weights, dtype=float), n)
+
+    @classmethod
+    def _adopt(cls, index, weights, n: int) -> "Distribution":
+        """:meth:`from_arrays` without the copies, for arrays no one else
+        writes to: they become the distribution's read-only arrays."""
+        n = _as_register(n)
+        dist = cls.__new__(cls)
+        dist._set(np.asarray(index, dtype=np.uint64), np.asarray(weights, dtype=float), n)
+        return dist
 
     @classmethod
     def from_counts(cls, counts: dict[str, int], n: int) -> "Distribution":
-        shots = sum(counts.values())
+        """Frequencies of ``{bitstring: count}``, counts non-negative integers."""
+        raw = cls(counts, n)
+        c = _as_counts(raw.weights)
+        shots = c.sum()
         if shots <= 0:
             raise CalibrationError("empty counts")
-        return cls({k: v / shots for k, v in counts.items() if v}, n)
+        keep = c > 0.0
+        return cls._adopt(raw.index[keep], c[keep] / shots, raw.n)
 
     @classmethod
     def point_mass(cls, bits: str) -> "Distribution":
         return cls({bits: 1.0}, len(bits))
 
+    @property
+    def entries(self):
+        """Read-only ``{bitstring: weight}`` view in index order."""
+        if self._entries is None:
+            keys = [format(i, f"0{self.n}b") for i in self.index.tolist()]
+            self._entries = MappingProxyType(dict(zip(keys, self.weights.tolist())))
+        return self._entries
+
+    def __eq__(self, other):
+        return isinstance(other, Distribution) and self.n == other.n and (
+            np.array_equal(self.index, other.index) and np.array_equal(self.weights, other.weights)
+        )
+
+    def __repr__(self):
+        return f"Distribution({dict(self.entries)!r}, {self.n})"
+
     def total(self) -> float:
-        return sum(self.entries.values())
+        return _ordered_sum(self.weights)
 
     def finalized(self) -> "Distribution":
-        clamped = {k: v for k, v in self.entries.items() if v > 0.0}
-        total = sum(clamped.values())
+        positive = self.weights > 0.0
+        clamped = self.weights[positive]
+        total = _ordered_sum(clamped)
         if total <= 0.0:
             raise CalibrationError("no positive mass left after clamping")
-        return Distribution({k: v / total for k, v in clamped.items()}, self.n)
+        return Distribution._adopt(self.index[positive], clamped / total, self.n)
 
     def marginal(self, support: tuple[int, ...]) -> "Distribution":
         sup = _as_support(support)
-        out: dict[str, float] = {}
-        for key, value in self.entries.items():
-            sub = extract_bits(key, sup)
-            out[sub] = out.get(sub, 0.0) + value
-        return Distribution(out, len(sup))
+        if sup[-1] >= self.n:
+            raise CalibrationError(f"support {sup} exceeds register {self.n}")
+        local = extract_index(self.index, sup, self.n)
+        return Distribution._adopt(*_summed(local, self.weights), len(sup))
 
 
 @dataclass(frozen=True)
@@ -299,8 +403,8 @@ def preparation_circuits(support) -> list[str]:
     Pattern character ``1`` means an X gate on that support qubit before
     measurement; all other register qubits stay in 0.
     """
-    sup = _as_support(support)
-    return [index_to_bits(i, len(sup)) for i in range(1 << len(sup))]
+    p = len(_as_support(support))
+    return [format(i, f"0{p}b") for i in range(1 << p)]
 
 
 def group_preparation_circuits(group) -> list[dict[int, int]]:
@@ -324,11 +428,10 @@ def group_preparation_circuits(group) -> list[dict[int, int]]:
     p = sizes.pop()
     circuits = []
     for i in range(1 << p):
-        pattern = index_to_bits(i, p)
         assignment: dict[int, int] = {}
         for sup in supports:
-            for q, c in zip(sup, pattern):
-                assignment[q] = int(c)
+            for pos, q in enumerate(sup):
+                assignment[q] = (i >> (p - 1 - pos)) & 1
         circuits.append(assignment)
     return circuits
 
@@ -355,8 +458,8 @@ def estimate_matrix(records) -> CalibrationMatrix:
     arr = np.zeros((dim, dim))
     for col, pattern in enumerate(expected):
         rec = by_prepared[pattern]
-        for observed, count in rec.counts.items():
-            arr[bits_to_index(observed), col] = count / rec.shots
+        counts = np.fromiter(rec.counts.values(), dtype=float, count=len(rec.counts))
+        arr[rec.index, col] = counts / rec.shots
     return CalibrationMatrix(support, arr)
 
 
@@ -612,26 +715,19 @@ def apply(
     dist: Distribution,
     cull_threshold: float = DEFAULT_CULL,
 ) -> Distribution:
-    """Apply factors in stored order as sparse matvecs over the support dict.
+    """Apply factors in stored order as sparse matvecs over the index arrays.
 
     After each factor, entries below ``cull_threshold`` of the current total
     absolute mass are dropped; the final distribution is clamped to
     non-negative weights and renormalized.
     """
     n = dist.n
-    if not dist.entries:
+    if dist.index.size == 0:
         raise CalibrationError("empty distribution")
-    if n > MAX_REGISTER_QUBITS:
-        raise CalibrationError(
-            f"register of {n} qubits exceeds the {MAX_REGISTER_QUBITS}-qubit index bound"
-        )
     for support, _ in cal.factors:
         if max(support) >= n:
             raise CalibrationError(f"factor support {support} exceeds register {n}")
-    idx = np.fromiter(
-        (bits_to_index(k) for k in dist.entries), dtype=np.uint64, count=len(dist.entries)
-    )
-    weights = np.fromiter(dist.entries.values(), dtype=float, count=len(dist.entries))
+    idx, weights = dist.index, dist.weights
     for support, arr in cal.factors:
         idx, weights = _apply_factor(idx, weights, support, arr, n)
         if cull_threshold > 0.0:
@@ -645,9 +741,7 @@ def apply(
     total = weights.sum()
     if total <= 0.0:
         raise CalibrationError("no positive mass left after mitigation")
-    weights = weights / total
-    entries = {index_to_bits(int(i), n): float(w) for i, w in zip(idx, weights)}
-    return Distribution(entries, n)
+    return Distribution._adopt(idx, weights / total, n)
 
 
 def _apply_factor(idx, weights, support, arr, n):
@@ -660,13 +754,9 @@ def _apply_factor(idx, weights, support, arr, n):
         nz = coeff != 0.0
         if not nz.any():
             continue
-        out_idx.append(cleared[nz] | np.uint64(scatter_index(row, support, n)))
+        ones = tuple(q for pos, q in enumerate(reversed(support)) if row >> pos & 1)
+        out_idx.append(cleared[nz] | np.uint64(support_mask(ones, n)))
         out_w.append(coeff[nz] * weights[nz])
     if not out_idx:
         return np.empty(0, dtype=np.uint64), np.empty(0)
-    all_idx = np.concatenate(out_idx)
-    all_w = np.concatenate(out_w)
-    uniq, inverse = np.unique(all_idx, return_inverse=True)
-    summed = np.zeros(uniq.size)
-    np.add.at(summed, inverse, all_w)
-    return uniq, summed
+    return _summed(np.concatenate(out_idx), np.concatenate(out_w))

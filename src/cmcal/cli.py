@@ -101,11 +101,13 @@ def _cmd_mitigate(args):
     if not counts:
         print(f"counts file {args.counts} holds no counts", file=sys.stderr)
         return 1
-    n = len(next(iter(counts)))
-    observed = Distribution.from_counts({k: int(v) for k, v in counts.items()}, n)
+    try:
+        observed = Distribution.from_counts(counts, len(next(iter(counts))))
+    except ValueError as exc:  # CalibrationError included
+        print(f"counts file {args.counts}: {exc}", file=sys.stderr)
+        return 1
     mitigated = store.mitigate(observed)
-    payload = {k: mitigated.entries[k] for k in sorted(mitigated.entries)}
-    _write_out(json.dumps(payload, indent=2), args.out)
+    _write_out(json.dumps(dict(mitigated.entries), indent=2), args.out)
     return 0
 
 

@@ -7,8 +7,9 @@ over a register and corrupts ideal :class:`~cmcal.calibration.Distribution`
 objects exactly before seeded sampling: on a dense float64 tensor with one
 axis per qubit of the measured region, each channel acting on its own axes,
 for regions of up to ``_DENSE_CORRUPT_QUBITS`` qubits, and by the sparse
-``calibration.apply`` over wider ones.  Samples are drawn straight from the
-tensor; bitstrings are formed only for drawn outcomes.  The benchmark
+``calibration.apply`` over wider ones.  Corruption and sampling work on basis
+indices; bitstrings are formed only for the ``{bitstring: count}`` results of
+:meth:`NoiseModel.sample` and :func:`simulate_counts`.  The benchmark
 circuits (``ideal_ghz``, ``ghz_distribution``) are plain distributions too.
 
 Subset measurement: when only a subset of the register is measured, a channel
@@ -33,8 +34,11 @@ from .calibration import (
     CalibrationMatrix,
     Distribution,
     SparseCalibration,
+    _summed,
     apply as apply_channels,
     embed_dense,
+    extract_index,
+    support_mask,
 )
 
 __all__ = [
@@ -206,13 +210,6 @@ class NoiseModel:
     def from_spec(cls, num_qubits, spec):
         return cls(num_qubits, spec.channels(num_qubits))
 
-    def _dist(self, ideal):
-        if ideal.n != self.num_qubits:
-            raise CalibrationError(
-                f"distribution register {ideal.n} does not match model {self.num_qubits}"
-            )
-        return ideal
-
     def _qubits(self, qubits):
         """``qubits`` as a strictly ascending tuple inside the register."""
         qubits = tuple(int(q) for q in qubits)
@@ -222,14 +219,13 @@ class NoiseModel:
             raise ValueError(f"qubits {qubits} outside the {self.num_qubits}-qubit register")
         return qubits
 
-    def _corrupt_measured(self, ideal, measured):
-        region = tuple(range(self.num_qubits)) if measured is None else self._qubits(measured)
-        return self._corrupt_region(self._dist(ideal), region)
-
-    def _corrupt_region(self, dist, region):
-        """Exact corruption of ``dist``'s marginal on the ascending ``region``
+    def _corrupt_region(self, ideal, region):
+        """Exact corruption of ``ideal``'s marginal on the ascending ``region``
         by the channels whose supports lie inside it.
 
+        ``ideal`` is a register :class:`Distribution`, or a basis state given
+        as ``{qubit: bit}`` with unlisted qubits 0: a basis state restricted
+        to the region is a basis state, so it needs no register-wide index.
         Up to ``_DENSE_CORRUPT_QUBITS`` qubits the result is a float64 tensor
         of shape ``(2,) * len(region)``, axis ``i`` carrying ``region[i]``:
         the input marginal is scattered into it once, each channel acts on
@@ -238,6 +234,18 @@ class NoiseModel:
         ``apply(..., cull_threshold=0.0)`` does.  Wider regions return the
         :class:`Distribution` of that sparse ``apply``.
         """
+        p = len(region)
+        if isinstance(ideal, Distribution):
+            if ideal.n != self.num_qubits:
+                raise CalibrationError(
+                    f"distribution register {ideal.n} does not match model {self.num_qubits}"
+                )
+            local = extract_index(ideal.index, region, ideal.n) if p < ideal.n else ideal.index
+            weights = ideal.weights
+        else:
+            flipped = tuple(i for i, q in enumerate(region) if ideal.get(q))
+            local = np.array([support_mask(flipped, p)], dtype=np.uint64)
+            weights = np.ones(1)
         pos = {q: i for i, q in enumerate(region)}
         # last listed acts first, matching the dense composite product
         factors = tuple(
@@ -245,17 +253,13 @@ class NoiseModel:
             for ch in reversed(self.channels)
             if pos.keys() >= set(ch.support)
         )
-        if len(region) > _DENSE_CORRUPT_QUBITS:
-            sub = dist.marginal(region) if len(region) < dist.n else dist
+        if p > _DENSE_CORRUPT_QUBITS:
+            sub = Distribution._adopt(*_summed(local, weights), p)
             if not factors:
                 return sub
             return apply_channels(SparseCalibration(factors, "forward"), sub, cull_threshold=0.0)
-        tensor = np.zeros(1 << len(region))
-        keys = dist.entries
-        if len(region) < dist.n:
-            keys = ("".join(key[q] for q in region) for key in keys)
-        np.add.at(tensor, [int(key, 2) for key in keys], list(dist.entries.values()))
-        tensor = tensor.reshape((2,) * len(region))
+        tensor = np.bincount(local.astype(np.intp), weights=weights, minlength=1 << p)
+        tensor = tensor.reshape((2,) * p)
         if not factors:
             return tensor
         for axes, matrix in factors:
@@ -270,26 +274,28 @@ class NoiseModel:
 
     def corrupted(self, ideal, measured=None):
         """Exact observed distribution for a (subset) measurement."""
-        out = self._corrupt_measured(ideal, measured)
+        region = tuple(range(self.num_qubits)) if measured is None else self._qubits(measured)
+        out = self._corrupt_region(ideal, region)
         return out if isinstance(out, Distribution) else _nonzero_distribution(out.ravel())
 
     def marginal_after_noise(self, ideal, keeps):
         """Marginals over each support in ``keeps`` of the fully measured
         corrupted distribution, one :class:`Distribution` per support.
+        ``ideal`` is a register Distribution or a ``{qubit: bit}`` basis
+        state, as in :meth:`_corrupt_region`.
 
         Each support is closed under overlapping channel supports, so its
         marginal is exact without touching the rest of the register.  Each
         distinct closure is corrupted once; a support's marginal is the sum
         of the closure tensor over the other axes, added in index order.
         """
-        dist = self._dist(ideal)
         keeps = [self._qubits(keep) for keep in keeps]
         by_region = {}
         for slot, keep in enumerate(keeps):
             by_region.setdefault(self._closure(keep), []).append(slot)
         out = [None] * len(keeps)
         for region, slots in by_region.items():
-            corrupted = self._corrupt_region(dist, region)
+            corrupted = self._corrupt_region(ideal, region)
             for slot in slots:
                 out[slot] = _marginal(corrupted, tuple(region.index(q) for q in keeps[slot]))
         return out
@@ -307,10 +313,10 @@ class NoiseModel:
         return tuple(sorted(closure))
 
     def sample(self, ideal, shots, seed, measured=None):
-        """Seeded multinomial counts from the corrupted distribution."""
-        if shots <= 0:
-            raise ValueError("shots must be positive")
-        return sample_distribution(self._corrupt_measured(ideal, measured), shots, seed)
+        """Seeded multinomial ``{bitstring: count}`` from the corrupted
+        distribution; keys cover the measured qubits in ascending order."""
+        counts = sample_distribution(self.corrupted(ideal, measured), shots, seed)
+        return {key: int(count) for key, count in counts.entries.items()}
 
 
 def _apply_local(tensor, axes, matrix):
@@ -355,38 +361,25 @@ def _marginal(corrupted, axes):
 
 def _nonzero_distribution(vector):
     """Distribution of the nonzero entries of a vector over basis indices."""
-    width = vector.size.bit_length() - 1
     index = np.flatnonzero(vector)
-    return Distribution(
-        {format(i, f"0{width}b"): v for i, v in zip(index.tolist(), vector[index].tolist())},
-        width,
-    )
+    return Distribution._adopt(index, vector[index], vector.size.bit_length() - 1)
 
 
 def sample_distribution(dist, shots, seed):
-    """Seeded multinomial counts from a normalized distribution.
+    """Seeded multinomial counts from a normalized :class:`Distribution`.
 
-    ``dist`` is a :class:`Distribution`, drawn over its entries in sorted
-    bitstring order, or a probability tensor over basis indices as
-    ``NoiseModel`` corrupts it, drawn over its positive entries in index
-    order (the same order); only the tensor's drawn outcomes are formatted.
+    Draws over its positive entries in index order and returns the drawn
+    outcomes as a Distribution whose weights are their counts.
     """
+    if shots <= 0:
+        raise ValueError("shots must be positive")
     rng = _as_rng(seed)
-    tensor = not isinstance(dist, Distribution)
-    if tensor:
-        flat = dist.ravel()
-        keys = np.flatnonzero(flat > 0.0)
-        probs = flat[keys]
-    else:
-        keys = sorted(dist.entries)
-        probs = np.array([dist.entries[k] for k in keys], dtype=float)
-    probs = np.clip(probs, 0.0, None)
+    positive = dist.weights > 0.0
+    probs = dist.weights[positive]
     probs /= probs.sum()
     draws = rng.multinomial(shots, probs)
-    drawn = np.flatnonzero(draws).tolist()
-    if tensor:
-        return {format(int(keys[i]), f"0{dist.ndim}b"): int(draws[i]) for i in drawn}
-    return {keys[i]: int(draws[i]) for i in drawn}
+    drawn = np.flatnonzero(draws)
+    return Distribution._adopt(dist.index[positive][drawn], draws[drawn], dist.n)
 
 
 # --- benchmark distributions ----------------------------------------------------
@@ -396,7 +389,7 @@ def ideal_ghz(n):
     """Equal mixture of all-zeros and all-ones."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Distribution({"0" * n: 0.5, "1" * n: 0.5}, n)
+    return Distribution._adopt([0, (1 << n) - 1], [0.5, 0.5], n)
 
 
 def ghz_cnot_schedule(cmap, root=0):
@@ -425,29 +418,23 @@ def ghz_distribution(cmap, gate_flip=0.0, root=0):
     if not (0.0 <= gate_flip <= 1.0):
         raise ValueError("gate_flip must be in [0, 1]")
     n = cmap.num_qubits
-    if gate_flip == 0.0 and n >= 1:
-        if n == 1:
-            return Distribution({"0": 0.5, "1": 0.5}, 1)
-        schedule = ghz_cnot_schedule(cmap, root)  # validates connectivity
-        assert len(schedule) == n - 1
+    if gate_flip == 0.0:
+        ghz_cnot_schedule(cmap, root)  # validates connectivity
         return ideal_ghz(n)
     if n > 20:
         raise ValueError("gate-flip propagation is limited to 20 qubits")
-    schedule = ghz_cnot_schedule(cmap, root)
-    root_bit = 1 << (n - 1 - root)
-    states = {0: 0.5, root_bit: 0.5}
-    for control, target in schedule:
-        cmask = 1 << (n - 1 - control)
-        tmask = 1 << (n - 1 - target)
-        nxt = {}
-        for state, prob in states.items():
-            flipped = state ^ tmask if state & cmask else state
-            nxt[flipped] = nxt.get(flipped, 0.0) + prob * (1.0 - gate_flip)
-            other = flipped ^ tmask
-            nxt[other] = nxt.get(other, 0.0) + prob * gate_flip
-        states = nxt
-    entries = {format(s, f"0{n}b"): p for s, p in states.items() if p > 0.0}
-    return Distribution(entries, n)
+    index = np.array([0, 1 << (n - 1 - root)], dtype=np.uint64)
+    probs = np.array([0.5, 0.5])
+    for control, target in ghz_cnot_schedule(cmap, root):
+        flip = np.uint64(1 << (n - 1 - target))
+        flipped = np.where(index & np.uint64(1 << (n - 1 - control)), index ^ flip, index)
+        # each state gets at most one term from each half, so the sums do
+        # not depend on the order the halves are added in
+        index, probs = _summed(
+            np.concatenate([flipped, flipped ^ flip]),
+            np.concatenate([probs * (1.0 - gate_flip), probs * gate_flip]),
+        )
+    return Distribution._adopt(index[probs > 0.0], probs[probs > 0.0], n)
 
 
 def simulate_counts(ideal, channel, shots, seed, measured=None):
@@ -481,10 +468,10 @@ def x_chain_experiment(depth_max, channel, shots, seed, gate_flip=0.0):
         vec[1 - ideal_bit] = 1.0 - p_correct
         observed = channel.entries @ vec
         counts = sample_distribution(
-            Distribution({"0": observed[0], "1": observed[1]}, 1),
+            Distribution._adopt([0, 1], observed, 1),
             shots,
             np.random.default_rng([seed, depth]),
         )
-        error = 1.0 - counts.get(str(ideal_bit), 0) / shots
+        error = 1.0 - float(counts.weights[counts.index == ideal_bit].sum()) / shots
         rates.append((depth, error))
     return tuple(rates)

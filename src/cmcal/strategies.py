@@ -17,18 +17,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._basis import bits_to_index, extract_bits, index_to_bits
 from .calibration import (
-    DEFAULT_CULL,
     CalibrationError,
     CalibrationMatrix,
     Distribution,
     SparseCalibration,
+    _ordered_sum,
+    _summed,
     apply,
     assemble_for_measured,
+    extract_index,
     group_preparation_circuits,
     invert,
     normalized_partial_trace,
+    support_mask,
 )
 from .noise import _as_rng, sample_distribution
 from .topology import (
@@ -132,30 +134,30 @@ def _split_budget(budget, circuits):
 
 
 def _observe(noise, dist, shots, rng, measured=None):
-    """Corrupted distribution — exact when shots is None, sampled otherwise."""
+    """Corrupted distribution — exact when shots is None, sampled
+    frequencies otherwise."""
+    observed = noise.corrupted(dist, measured)
     if shots is None:
-        return noise.corrupted(dist, measured)
-    counts = noise.sample(dist, shots, rng, measured)
-    width = len(measured) if measured is not None else dist.n
-    return Distribution.from_counts(counts, width)
-
-
-def _xor_key(bits, mask):
-    return format(int(bits, 2) ^ int(mask, 2), f"0{len(bits)}b")
+        return observed
+    counts = sample_distribution(observed, shots, rng)
+    return Distribution._adopt(counts.index, counts.weights / shots, counts.n)
 
 
 def _masked(dist, mask):
-    """Distribution after X gates on the mask's ``1`` positions."""
-    return Distribution({_xor_key(k, mask): v for k, v in dist.entries.items()}, dist.n)
+    """Distribution after X gates on the qubits set in the index ``mask``."""
+    return Distribution._adopt(dist.index ^ np.uint64(mask), dist.weights, dist.n)
 
 
 def _average(dists, n):
-    out = {}
     w = 1.0 / len(dists)
-    for d in dists:
-        for k, v in d.entries.items():
-            out[k] = out.get(k, 0.0) + w * v
-    return Distribution(out, n).finalized()
+    index = np.concatenate([d.index for d in dists])
+    weights = np.concatenate([w * d.weights for d in dists])
+    return Distribution._adopt(*_summed(index, weights), n).finalized()
+
+
+def _bit_strings(masks, n):
+    """Index masks as bitstrings, for diagnostics."""
+    return [format(mask, f"0{n}b") for mask in masks]
 
 
 # --- simple baselines -----------------------------------------------------------
@@ -184,10 +186,8 @@ def run_full(circuit, noise, budget, n=None, seed=0):
     r, circuit_shots = _split_budget(budget, dim)
     matrix = np.zeros((dim, dim))
     for col in range(dim):
-        prep = Distribution.point_mass(index_to_bits(col, n))
-        observed = _observe(noise, prep, r, rng)
-        for key, val in observed.entries.items():
-            matrix[bits_to_index(key), col] = val
+        observed = _observe(noise, Distribution._adopt([col], [1.0], n), r, rng)
+        matrix[observed.index, col] = observed.weights
     try:
         inverse = np.linalg.inv(matrix)
     except np.linalg.LinAlgError:
@@ -195,17 +195,16 @@ def run_full(circuit, noise, budget, n=None, seed=0):
         raise CalibrationError(f"dense calibration matrix is singular ({per})") from None
     observed = _observe(noise, circuit, circuit_shots, rng)
     vec = np.zeros(dim)
-    for key, val in observed.entries.items():
-        vec[bits_to_index(key)] = val
+    vec[observed.index] = observed.weights
     mitigated = np.clip(inverse @ vec, 0.0, None)
     total = mitigated.sum()
     if total <= 0.0:
         raise CalibrationError("no positive mass left after mitigation")
     mitigated /= total
-    entries = {index_to_bits(i, n): float(v) for i, v in enumerate(mitigated) if v > 0.0}
+    support = np.flatnonzero(mitigated > 0.0)
     return MethodResult(
         "full",
-        Distribution(entries, n),
+        Distribution._adopt(support, mitigated[support], n),
         {"calibration": (r or 0) * dim, "circuit": circuit_shots or 0},
         {"circuits": {"calibration": dim, "circuit": 1}},
     )
@@ -214,11 +213,11 @@ def run_full(circuit, noise, budget, n=None, seed=0):
 def _single_qubit_matrices(noise, n, shots, rng):
     """Per-qubit matrices from the two circuits 0...0 and 1...1."""
     columns = {q: np.zeros((2, 2)) for q in range(n)}
-    for bit, pattern in enumerate(("0" * n, "1" * n)):
-        observed = _observe(noise, Distribution.point_mass(pattern), shots, rng)
+    for bit, state in enumerate((0, (1 << n) - 1)):
+        observed = _observe(noise, Distribution._adopt([state], [1.0], n), shots, rng)
         for q in range(n):
             marg = observed.marginal((q,))
-            columns[q][:, bit] = [marg.entries.get("0", 0.0), marg.entries.get("1", 0.0)]
+            columns[q][marg.index, bit] = marg.weights
     return {q: CalibrationMatrix((q,), arr) for q, arr in columns.items()}
 
 
@@ -242,16 +241,13 @@ def run_linear(circuit, noise, budget, n=None, seed=0):
 
 
 def _sim_masks(n):
+    """Index masks: none, all, every odd qubit, and every even qubit."""
     if n == 1:
-        return ("0", "1", "0", "1")
-    half = n // 2
-    alt = "01" * half
-    inv = "10" * half
-    if n % 2:
-        # odd register: the last qubit repeats the preceding mask bit
-        alt += alt[-1]
-        inv += inv[-1]
-    return ("0" * n, "1" * n, alt, inv)
+        return (0, 1, 0, 1)
+    # odd register: the last qubit repeats the preceding mask bit
+    alt = support_mask(tuple(range(1, n, 2)) + ((n - 1,) if n % 2 else ()), n)
+    full = (1 << n) - 1
+    return (0, full, alt, full ^ alt)
 
 
 def run_sim(circuit, noise, budget, n=None, seed=0):
@@ -270,15 +266,15 @@ def run_sim(circuit, noise, budget, n=None, seed=0):
         "sim",
         _average(unmasked, n),
         {"circuit": (per or 0) * len(masks)},
-        {"circuits": {"circuit": len(masks)}, "masks": list(masks)},
+        {"circuits": {"circuit": len(masks)}, "masks": _bit_strings(masks, n)},
     )
 
 
 def _aim_masks(n):
+    """Index masks of four-qubit windows (the whole register if smaller), step 2."""
     width = min(4, n)
     return tuple(
-        "0" * off + "1" * width + "0" * (n - off - width)
-        for off in range(0, n - width + 1, 2)
+        support_mask(tuple(range(off, off + width)), n) for off in range(0, n - width + 1, 2)
     )
 
 
@@ -288,6 +284,8 @@ def run_aim(circuit, noise, budget, n=None, r1=None, r2=None, top_k=None, seed=0
     Phase 1 runs every four-qubit window mask ``r1`` times and scores it by
     its maximum single-outcome frequency (more decisive masks score higher);
     phase 2 reruns the ``top_k`` masks ``r2`` times, XOR-unmasks, averages.
+    In exact mode (``budget=None``) both phases use the exact corrupted
+    distributions and ``r1`` and ``r2`` are ignored.
     """
     n = _check_register(circuit, noise, n)
     masks = _aim_masks(n)
@@ -298,8 +296,7 @@ def run_aim(circuit, noise, budget, n=None, r1=None, r2=None, top_k=None, seed=0
         raise ValueError(f"top_k must be in [1, {m}]")
     rng = _as_rng(seed)
     if budget is None:
-        if r1 is None or r2 is None:
-            r1, r2 = None, None
+        r1 = r2 = None
     else:
         if r1 is None:
             r1 = (budget.total // 2) // m
@@ -310,7 +307,7 @@ def run_aim(circuit, noise, budget, n=None, r1=None, r2=None, top_k=None, seed=0
     scores = []
     for mask in masks:
         observed = _observe(noise, _masked(circuit, mask), r1, rng)
-        scores.append(max(observed.entries.values()))
+        scores.append(float(observed.weights.max()))
     selected = sorted(range(m), key=lambda i: (-scores[i], i))[:top_k]
     unmasked = []
     for i in selected:
@@ -322,8 +319,8 @@ def run_aim(circuit, noise, budget, n=None, r1=None, r2=None, top_k=None, seed=0
         {"phase1": (r1 or 0) * m, "phase2": (r2 or 0) * top_k},
         {
             "circuits": {"phase1": m, "phase2": top_k},
-            "masks": list(masks),
-            "selected": [masks[i] for i in selected],
+            "masks": _bit_strings(masks, n),
+            "selected": _bit_strings([masks[i] for i in selected], n),
             "scores": scores,
         },
     )
@@ -361,7 +358,8 @@ def run_jigsaw(circuit, noise, budget, n=None, patch_count=None, epsilon=0.0, se
     per = None if budget is None else budget.total // (patch_count + 1)
     if per is not None and per < 1:
         raise ValueError("budget too small for global plus patch runs")
-    table = dict(_observe(noise, circuit, per, rng).entries)
+    table = _observe(noise, circuit, per, rng)
+    index, weights = table.index, table.weights
     perm = rng.permutation(n)
     patches = [
         tuple(sorted((int(perm[2 * i]), int(perm[2 * i + 1]))))
@@ -369,40 +367,27 @@ def run_jigsaw(circuit, noise, budget, n=None, patch_count=None, epsilon=0.0, se
     ]
     skipped = []
     for patch in patches:
-        if per is None:
-            sub = noise.corrupted(circuit, measured=patch).entries
-            observed = {k: v for k, v in sub.items() if v > 0.0}
-            freq = dict(observed)
-        else:
-            counts = noise.sample(circuit, per, rng, measured=patch)
-            observed = {k: v for k, v in counts.items() if v > 0}
-            if epsilon > 0.0:
-                freq = {
-                    index_to_bits(i, 2): (counts.get(index_to_bits(i, 2), 0) + epsilon)
-                    / (per + 4 * epsilon)
-                    for i in range(4)
-                }
-            else:
-                freq = {k: v / per for k, v in observed.items()}
-        if epsilon > 0.0 and len(observed) <= 1:
+        sub = noise.corrupted(circuit, measured=patch)
+        if per is not None:
+            sub = sample_distribution(sub, per, rng)  # weights are counts
+        if epsilon > 0.0 and np.count_nonzero(sub.weights) <= 1:
             skipped.append(patch)
             continue
-        marginal = {}
-        for key, val in table.items():
-            pat = extract_bits(key, patch)
-            marginal[pat] = marginal.get(pat, 0.0) + val
-        updated = {}
-        for key, val in table.items():
-            pat = extract_bits(key, patch)
-            weight = freq.get(pat, 0.0)
-            if weight > 0.0 and marginal[pat] > 0.0:
-                updated[key] = val * weight / marginal[pat]
-        total = sum(updated.values())
+        freq = np.zeros(4)
+        freq[sub.index] = sub.weights
+        if per is not None:
+            freq = (freq + epsilon) / (per + 4 * epsilon) if epsilon > 0.0 else freq / per
+        pattern = extract_index(index, patch, n).astype(np.intp)
+        marginal = np.bincount(pattern, weights=weights, minlength=4)[pattern]
+        weight = freq[pattern]
+        keep = (weight > 0.0) & (marginal > 0.0)
+        updated = weights[keep] * weight[keep] / marginal[keep]
+        total = _ordered_sum(updated)
         if total <= 0.0:
             skipped.append(patch)
             continue
-        table = {k: v / total for k, v in updated.items()}
-    mitigated = Distribution(table, n).finalized()
+        index, weights = index[keep], updated / total
+    mitigated = Distribution._adopt(index, weights, n).finalized()
     return MethodResult(
         "jigsaw",
         mitigated,
@@ -427,33 +412,28 @@ def _estimate_patches(noise, plan, shots_per_circuit, rng):
     patch when a shot count is given (patches in one group are farther apart
     than the separation, so cross-patch sampling correlation is negligible).
     """
-    n = noise.num_qubits
     blocks = {}
     for group in plan.groups:
         for col, assignment in enumerate(group_preparation_circuits(group)):
-            bits = "".join("1" if assignment.get(q, 0) else "0" for q in range(n))
-            marginals = noise.marginal_after_noise(Distribution.point_mass(bits), group)
+            marginals = noise.marginal_after_noise(assignment, group)
             for patch, marg in zip(group, marginals):
                 dim = 1 << len(patch)
                 column = np.zeros(dim)
                 if shots_per_circuit is None:
-                    for key, val in marg.entries.items():
-                        column[bits_to_index(key)] = val
+                    column[marg.index] = marg.weights
                 else:
                     counts = sample_distribution(marg, shots_per_circuit, rng)
-                    for key, c in counts.items():
-                        column[bits_to_index(key)] = c / shots_per_circuit
+                    column[counts.index] = counts.weights / shots_per_circuit
                 blocks.setdefault(patch, np.zeros((dim, dim)))[:, col] = column
     return [CalibrationMatrix(p, blocks[p]) for p in plan.patches]
 
 
-def _mitigate_with_plan(noise, dist, plan, shots_per_circuit, circuit_shots, rng,
-                        cull_threshold, singles=None):
+def _mitigate_with_plan(noise, dist, plan, shots_per_circuit, circuit_shots, rng, singles=None):
     """Estimate the plan's patches, join them over the register, invert the
     join, and apply the inverse to the observed circuit distribution."""
     patches = _estimate_patches(noise, plan, shots_per_circuit, rng)
     inverse = invert(assemble_for_measured(patches, range(dist.n), singles))
-    return apply(inverse, _observe(noise, dist, circuit_shots, rng), cull_threshold)
+    return apply(inverse, _observe(noise, dist, circuit_shots, rng))
 
 
 def _num_circuits(plan):
@@ -477,14 +457,14 @@ def calibrate_patches(noise, plan, shots_per_circuit=None, seed=0):
     return ordered, singles
 
 
-def run_cmc(circuit, noise, budget, cmap, separation=1, cull_threshold=DEFAULT_CULL, seed=0):
+def run_cmc(circuit, noise, budget, cmap, separation=1, seed=0):
     """Patch-grouped calibration over the coupling map, joined and inverted."""
     _check_register(circuit, noise, cmap.num_qubits)
     plan = greedy_patch_plan(cmap, separation)
     num_circuits = _num_circuits(plan)
     rng = _as_rng(seed)
     r, circuit_shots = _split_budget(budget, num_circuits)
-    mitigated = _mitigate_with_plan(noise, circuit, plan, r, circuit_shots, rng, cull_threshold)
+    mitigated = _mitigate_with_plan(noise, circuit, plan, r, circuit_shots, rng)
     return MethodResult(
         "cmc",
         mitigated,
@@ -505,7 +485,6 @@ def run_cmc_err(
     locality=2,
     max_edges=None,
     separation=1,
-    cull_threshold=DEFAULT_CULL,
     prepass_fraction=0.3,
     seed=0,
 ):
@@ -551,9 +530,7 @@ def run_cmc_err(
             raise ValueError(
                 f"budget too small: {remaining} shots for {num_circuits} circuits"
             )
-    mitigated = _mitigate_with_plan(
-        noise, circuit, plan, r_cal, circuit_shots, rng, cull_threshold, singles
-    )
+    mitigated = _mitigate_with_plan(noise, circuit, plan, r_cal, circuit_shots, rng, singles)
     return MethodResult(
         "cmc_err",
         mitigated,
@@ -585,14 +562,8 @@ _OPTION_KEYS = {
     "sim": set(),
     "aim": {"r1", "r2", "top_k"},
     "jigsaw": {"patch_count", "epsilon", "seed"},
-    "cmc": {"separation", "cull_threshold"},
-    "cmc_err": {
-        "locality",
-        "max_edges",
-        "separation",
-        "cull_threshold",
-        "prepass_fraction",
-    },
+    "cmc": {"separation"},
+    "cmc_err": {"locality", "max_edges", "separation", "prepass_fraction"},
 }
 
 

@@ -253,6 +253,19 @@ def test_store_round_trip_is_bit_identical(tmp_path):
     assert loaded.plan.patches == store.plan.patches
 
 
+def test_store_mitigates_measured_width_counts():
+    # NoiseModel.sample(..., measured=...) keys go straight in; the result
+    # equals the register-wide path's result narrowed to the measured qubits
+    store, model = _store_and_model()
+    measured = (1, 3)
+    counts = model.sample(ideal_ghz(4), 2000, 3, measured=measured)
+    narrow = store.mitigate(Distribution.from_counts(counts, 2), measured=measured)
+    wide_counts = {f"0{key[0]}0{key[1]}": count for key, count in counts.items()}
+    wide = store.mitigate(Distribution.from_counts(wide_counts, 4), measured=measured)
+    assert narrow.n == 2
+    assert narrow == wide.marginal(measured)
+
+
 def test_store_reuse_on_a_different_circuit():
     store, model = _store_and_model()
     other = Distribution({"0110": 1.0}, 4)
@@ -289,6 +302,14 @@ def test_store_rejects_corruption(tmp_path):
             created="now",
             matrices=(),
         )
+    # count records that an integer cast would truncate to passing ones
+    for counts in ({"0": 2.5}, {"0": 2.5, "1": -0.5}):
+        store.save(path)
+        doc = json.loads(path.read_text())
+        doc["records"] = [{"support": [0], "prepared": "0", "counts": counts, "shots": 2}]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StoreError, match="counts must be non-negative integers"):
+            CalibrationStore.load(path)
 
 
 def test_store_with_nan_entry_fails_to_load(tmp_path):

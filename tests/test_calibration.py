@@ -118,6 +118,12 @@ def test_counts_record_roundtrip_and_validation():
         CountsRecord((2, 5), "0", {"01": 100}, 100)
     with pytest.raises(CalibrationError):
         CountsRecord((2, 5), "01", {"011": 100}, 100)
+    # counts that would truncate to a passing record
+    for counts in ({"01": 99.5, "11": 0.5}, {"01": 100.5, "11": -0.5}):
+        with pytest.raises(CalibrationError, match="counts must be"):
+            CountsRecord.from_json({**rec.to_json(), "counts": counts})
+    whole = CountsRecord.from_json({**rec.to_json(), "counts": {"01": 90.0, "11": 10.0}})
+    assert whole == rec and all(type(v) is int for v in whole.counts.values())
 
 
 def test_preparation_circuits_order():
@@ -511,6 +517,39 @@ def test_distribution_finalized_clamps_and_renormalizes():
         Distribution({"00": -1.0}, 2).finalized()
     with pytest.raises(CalibrationError):
         Distribution({"000": 1.0}, 2)
+
+
+def test_distribution_holds_sorted_index_arrays():
+    dist = Distribution({"11": 0.25, "00": 0.5, "10": 0.25}, 2)
+    assert dist.index.dtype == np.uint64 and dist.index.tolist() == [0, 2, 3]
+    assert dist.weights.tolist() == [0.5, 0.25, 0.25]
+    assert list(dist.entries) == ["00", "10", "11"]
+    with pytest.raises(TypeError):
+        dist.entries["00"] = 1.0
+    with pytest.raises(ValueError):
+        dist.weights[0] = 1.0
+    assert Distribution.from_arrays([3, 0, 2], [0.25, 0.5, 0.25], 2) == dist
+    index, weights = np.array([0, 2, 3], dtype=np.uint64), np.array([0.5, 0.25, 0.25])
+    assert Distribution.from_arrays(index, weights, 2) == dist
+    index[0], weights[0] = 1, 0.0  # the caller's arrays stay theirs
+    assert dist.index.tolist() == [0, 2, 3] and dist.weights.tolist() == [0.5, 0.25, 0.25]
+    with pytest.raises(CalibrationError, match="repeated"):
+        Distribution.from_arrays([1, 1], [0.5, 0.5], 2)
+    with pytest.raises(CalibrationError, match="exceeds"):
+        Distribution.from_arrays([4], [1.0], 2)
+    with pytest.raises(CalibrationError, match="64-qubit index bound"):
+        Distribution.from_arrays([0], [1.0], 65)
+    assert Distribution({"1" * 64: 1.0}, 64).index.tolist() == [2**64 - 1]
+
+
+def test_distribution_from_counts_rejects_malformed_counts():
+    got = Distribution.from_counts({"11": 1, "00": 3, "01": 0}, 2)
+    assert got.entries == {"00": 0.75, "11": 0.25}
+    for counts in ({"00": 5, "11": -1}, {"00": 1.5}, {"00": float("nan")}, {"00": "x"}):
+        with pytest.raises(CalibrationError):
+            Distribution.from_counts(counts, 2)
+    with pytest.raises(CalibrationError, match="empty counts"):
+        Distribution.from_counts({"00": 0}, 2)
 
 
 @pytest.mark.parametrize("key", ["0a", "2 ", " 1", "1\n", "０1", "01 "])

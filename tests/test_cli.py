@@ -66,6 +66,22 @@ def test_calibrate_and_err_map(tmp_path, capsys):
     assert selected.edges[0] == (1, 2)  # the strongly correlated pair ranks first
 
 
+def test_calibrate_and_err_map_past_the_index_bound(tmp_path):
+    n = 70
+    map_path = tmp_path / "map.json"
+    main(["gen-arch", "linear", "--num-qubits", str(n), "--out", str(map_path)])
+    noise_path = tmp_path / "noise.json"
+    noise_path.write_text(NoiseSpec.random(n, seed=3).to_json())
+    store_path = tmp_path / "store.json"
+    assert main([
+        "calibrate", "--map", str(map_path), "--noise", str(noise_path),
+        "--shots", "200", "--out", str(store_path),
+    ]) == 0
+    err_path = tmp_path / "err.json"
+    assert main(["err-map", "--store", str(store_path), "--out", str(err_path)]) == 0
+    assert ErrMap.from_json(err_path.read_text()).edges
+
+
 def test_mitigate_counts_file(tmp_path):
     store_path, spec = _calibrated_store(tmp_path)
     model = NoiseModel.from_spec(4, spec)
@@ -91,6 +107,11 @@ def test_mitigate_empty_counts_file(tmp_path, capsys):
     counts_path.write_text("{}")
     assert main(["mitigate", "--store", str(store_path), "--counts", str(counts_path)]) == 1
     assert "no counts" in capsys.readouterr().err
+    # malformed counts are reported, not truncated or raised
+    for counts in ({"0000": 5, "1111": -1}, {"0000": 1.5}, {"0000": "many"}, {"0a00": 5}):
+        counts_path.write_text(json.dumps(counts))
+        assert main(["mitigate", "--store", str(store_path), "--counts", str(counts_path)]) == 1
+        assert str(counts_path) in capsys.readouterr().err
 
 
 def _bench_config(tmp_path):

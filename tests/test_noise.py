@@ -330,15 +330,16 @@ def test_qubits_outside_the_register_raise_value_error():
     ],
 )
 def test_sample_equals_sampling_the_corrupted_distribution(kind, params, edge_flip, measured):
-    # Sampling straight from the corrupted tensor draws the same random stream
-    # as sampling the Distribution that corrupted() returns.
+    # The {bitstring: count} result of sample() is the counts Distribution
+    # drawn from corrupted(), formatted: same stream, same order.
     cmap = generate_architecture(kind, **params)
     n = cmap.num_qubits
     flips = tuple(correlated_channel(e, "pairwise_flip", edge_flip) for e in cmap.edges)
     model = NoiseModel(n, NoiseSpec.random(n, seed=n).channels(n) + flips)
     for ideal in (ideal_ghz(n), ghz_distribution(cmap, 0.02)):
         for seed in (3, 4):
-            want = sample_distribution(model.corrupted(ideal, measured), 4000, seed)
+            drawn = sample_distribution(model.corrupted(ideal, measured), 4000, seed)
+            want = {key: int(count) for key, count in drawn.entries.items()}
             got = model.sample(ideal, 4000, seed, measured)
             assert got == want
             assert list(got) == list(want)

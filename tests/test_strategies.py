@@ -13,6 +13,7 @@ from cmcal.strategies import (
     MethodResult,
     ShotBudget,
     StrategyConfig,
+    calibrate_patches,
     run_aim,
     run_bare,
     run_cmc,
@@ -61,6 +62,8 @@ def test_strategy_config_validation():
         StrategyConfig("bare", {"separation": 2})
     with pytest.raises(ValueError):
         StrategyConfig("full", {"force": True})
+    with pytest.raises(ValueError):
+        StrategyConfig("cmc", {"cull_threshold": 0.0})
 
 
 # --- noiseless fixed point ---------------------------------------------------------
@@ -252,6 +255,11 @@ def test_aim_budget_phases():
         run_aim(ideal_ghz(n), model, ShotBudget(4000), r1=2000, r2=2000)
     with pytest.raises(ValueError):
         run_aim(ideal_ghz(n), model, None, top_k=9)
+    # exact mode ignores per-phase shot counts: no sampling, a zero ledger
+    exact = run_aim(ideal_ghz(n), model, None)
+    asked = run_aim(ideal_ghz(n), model, None, r1=50, r2=50)
+    assert asked.shots_used == {"phase1": 0, "phase2": 0}
+    assert asked.mitigated == exact.mitigated
 
 
 # --- jigsaw -----------------------------------------------------------------------
@@ -358,6 +366,24 @@ def test_cmc_circuit_counting_matches_plan():
     r = 8000 // (4 * plan.num_groups)
     assert res.shots_used["calibration"] == r * 4 * plan.num_groups
     assert res.total_shots <= 16000
+
+
+def test_calibrate_patches_past_the_index_bound():
+    # calibration only corrupts each patch's channel closure, so a register
+    # wider than the 64-qubit basis index still calibrates
+    n = 70
+    model = NoiseModel.from_spec(n, NoiseSpec.random(n, seed=3))
+    channels = {ch.support: ch.entries for ch in model.channels}
+    plan = greedy_patch_plan(chain(n), 1)
+    exact, singles = calibrate_patches(model, plan)
+    assert [m.support for m in exact] == list(plan.patches)
+    assert sorted(singles) == list(range(n))
+    for mat in exact:
+        a, b = mat.support
+        assert np.allclose(mat.entries, np.kron(channels[(a,)], channels[(b,)]), atol=1e-12)
+    sampled, _ = calibrate_patches(model, plan, 200, seed=1)
+    assert [m.support for m in sampled] == list(plan.patches)
+    assert all(np.allclose(m.entries.sum(axis=0), 1.0) for m in sampled)
 
 
 def test_cmc_improves_on_bare_with_sampling():
