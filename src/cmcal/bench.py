@@ -23,14 +23,12 @@ from .calibration import (
     CalibrationMatrix,
     CountsRecord,
     Distribution,
-    SparseCalibration,
     _ordered_sum,
-    apply,
-    assemble_for_measured,
-    invert,
 )
+# unused here, but perfbench/spans.py SITES wraps these three names in this module
+from .calibration import apply, assemble_for_measured, invert  # noqa: F401
 from .noise import NoiseModel, NoiseSpec, ghz_distribution, ideal_ghz
-from .strategies import METHODS, ShotBudget, StrategyConfig, run_method
+from .strategies import METHODS, ShotBudget, StrategyConfig, mitigate, run_method
 from .topology import CouplingMap, PatchPlan, generate_architecture
 
 logger = logging.getLogger(__name__)
@@ -415,7 +413,8 @@ class CalibrationStore:
         return tuple(sorted({q for m in self.matrices for q in m.support} | set(self.singles)))
 
     def mitigate(self, dist: Distribution, measured=None) -> Distribution:
-        """Mitigate ``dist`` with the stored patches joined over ``measured``.
+        """Mitigate ``dist`` with the stored patches joined over ``measured``,
+        through the same :func:`~cmcal.strategies.mitigate` step as cmc.
 
         ``dist`` is either register-wide (``dist.n`` is the register size and
         unmeasured positions are placeholders) or, when ``dist.n`` equals the
@@ -425,14 +424,7 @@ class CalibrationStore:
         of ``dist``.  Only ``measured == range(dist.n)`` fits both readings,
         and there they agree.
         """
-        qubits = sorted({int(q) for q in (range(dist.n) if measured is None else measured)})
-        forward = assemble_for_measured(self.matrices, qubits, singles=self.singles or None)
-        if len(qubits) == dist.n:
-            pos = {q: i for i, q in enumerate(qubits)}
-            forward = SparseCalibration(
-                tuple((tuple(pos[q] for q in sup), arr) for sup, arr in forward.factors)
-            )
-        return apply(invert(forward), dist)
+        return mitigate(self.matrices, self.singles, dist, measured)
 
     def to_doc(self) -> dict:
         return {

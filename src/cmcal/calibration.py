@@ -111,11 +111,26 @@ def _parse_bits(keys, width: int, fits: str) -> np.ndarray:
     raise CalibrationError(f"key {bad!r} {fits}")
 
 
+def _as_floats(values, what: str) -> np.ndarray:
+    """A sized iterable of numbers as a float64 array.  numpy would read
+    strings, bytes and booleans as numbers too, and None as NaN; they raise
+    ``CalibrationError`` starting with ``what``, as does any other non-number."""
+    for kind in set(map(type, values)):
+        if issubclass(kind, (str, bytes, bool, np.bool_, type(None))):
+            raise CalibrationError(f"{what}, not {kind.__name__}")
+    try:
+        return np.fromiter(values, dtype=float, count=len(values))
+    except (TypeError, ValueError) as exc:
+        raise CalibrationError(f"{what}: {exc}") from None
+
+
 def _as_counts(values) -> np.ndarray:
-    """``values`` as a float64 array, checked to be non-negative integers."""
-    counts = np.fromiter(values, dtype=float)
+    """``values`` (a float64 array, or a sized iterable of numbers) as a
+    float64 array, checked to be non-negative integers."""
+    message = "counts must be non-negative integers"
+    counts = values if isinstance(values, np.ndarray) else _as_floats(values, message)
     if not (np.isfinite(counts) & (counts >= 0.0) & (counts == np.floor(counts))).all():
-        raise CalibrationError("counts must be non-negative integers")
+        raise CalibrationError(message)
     return counts
 
 
@@ -255,10 +270,7 @@ class Distribution:
 
     def __init__(self, entries, n: int):
         n = _as_register(n)
-        try:
-            weights = np.fromiter(entries.values(), dtype=float, count=len(entries))
-        except (TypeError, ValueError) as exc:
-            raise CalibrationError(f"weights must be numbers: {exc}") from None
+        weights = _as_floats(entries.values(), "weights must be numbers")
         self._set(_parse_bits(entries, n, f"is not a {n}-bit string"), weights, n)
 
     def _set(self, index: np.ndarray, weights: np.ndarray, n: int):
@@ -342,18 +354,12 @@ class Distribution:
 
 @dataclass(frozen=True)
 class SparseCalibration:
-    """Ordered list of small factors standing in for a register-scale matrix.
-
-    ``direction`` records whether the factors model the noise ("forward") or
-    mitigate it ("inverse").  Factors are applied in stored order.
-    """
+    """Ordered list of small factors standing in for a register-scale matrix:
+    a noise model, or its inverse.  Factors are applied in stored order."""
 
     factors: tuple[tuple[tuple[int, ...], np.ndarray], ...]
-    direction: str = "forward"
 
     def __post_init__(self):
-        if self.direction not in ("forward", "inverse"):
-            raise CalibrationError(f"unknown direction {self.direction!r}")
         frozen = []
         for support, arr in self.factors:
             sup = _as_support(support)
@@ -561,12 +567,6 @@ def order_adjust(mat: CalibrationMatrix, shared_qubit: int, v: int, v_a: int) ->
     return _adjusted_factor(mat, {shared_qubit: (v, v_a)})
 
 
-def _local_embed(op: np.ndarray, position: int, p: int) -> np.ndarray:
-    left = np.eye(1 << position)
-    right = np.eye(1 << (p - position - 1))
-    return np.kron(np.kron(left, op), right)
-
-
 def _adjusted_factor(mat: CalibrationMatrix, orders: dict[int, tuple[int, int]]) -> np.ndarray:
     """Order-adjust a patch for every shared qubit at once."""
     p = mat.num_qubits
@@ -581,10 +581,10 @@ def _adjusted_factor(mat: CalibrationMatrix, orders: dict[int, tuple[int, int]])
         exp_left = (v - 1 - v_a) / v
         exp_right = v_a / v
         if exp_left > 0.0:
-            left = left @ _local_embed(fractional_power(marg, exp_left), position, p)
+            left = left @ embed_dense(fractional_power(marg, exp_left), (position,), p)
             nontrivial = True
         if exp_right > 0.0:
-            right = right @ _local_embed(fractional_power(marg, exp_right), position, p)
+            right = right @ embed_dense(fractional_power(marg, exp_right), (position,), p)
             nontrivial = True
     if not nontrivial:
         return mat.entries.copy()
@@ -683,7 +683,7 @@ def assemble_for_measured(
             logger.warning("measured qubit %d not covered by any patch; identity factor", q)
             factors.append(((q,), np.eye(2)))
 
-    return SparseCalibration(tuple(f for f in factors if f is not None), "forward")
+    return SparseCalibration(tuple(f for f in factors if f is not None))
 
 
 # ---------------------------------------------------------------------------
@@ -706,8 +706,7 @@ def invert(cal: SparseCalibration) -> SparseCalibration:
             logger.warning("ridge-regularized singular factor on support %s", support)
             inv = np.linalg.inv(ridge)
         inverted.append((support, inv))
-    direction = "inverse" if cal.direction == "forward" else "forward"
-    return SparseCalibration(tuple(inverted), direction)
+    return SparseCalibration(tuple(inverted))
 
 
 def apply(

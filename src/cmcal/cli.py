@@ -101,8 +101,11 @@ def _cmd_mitigate(args):
     if not counts:
         print(f"counts file {args.counts} holds no counts", file=sys.stderr)
         return 1
+    width, register = len(next(iter(counts))), max(store.qubits) + 1
     try:
-        observed = Distribution.from_counts(counts, len(next(iter(counts))))
+        observed = Distribution.from_counts(counts, width)
+        if width < register:
+            raise ValueError(f"{width}-bit keys are narrower than the store's {register} qubits")
     except ValueError as exc:  # CalibrationError included
         print(f"counts file {args.counts}: {exc}", file=sys.stderr)
         return 1

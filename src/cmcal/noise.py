@@ -257,7 +257,7 @@ class NoiseModel:
             sub = Distribution._adopt(*_summed(local, weights), p)
             if not factors:
                 return sub
-            return apply_channels(SparseCalibration(factors, "forward"), sub, cull_threshold=0.0)
+            return apply_channels(SparseCalibration(factors), sub, cull_threshold=0.0)
         tensor = np.bincount(local.astype(np.intp), weights=weights, minlength=1 << p)
         tensor = tensor.reshape((2,) * p)
         if not factors:

@@ -67,21 +67,18 @@ FULL_MAX_QUBITS = 14
 class ShotBudget:
     """Total measurement budget; strategies decide their own phase split.
 
-    ``calibration_fraction`` bounds how much of the total a strategy may
-    spend on characterization circuits before the payload circuit runs.
+    Strategies that characterize the device first may spend at most half of
+    the total on those circuits before the payload circuit runs.
     """
 
     total: int
-    calibration_fraction: float = 0.5
 
     def __post_init__(self):
         if self.total <= 0:
             raise ValueError("total shots must be positive")
-        if not (0.0 < self.calibration_fraction < 1.0):
-            raise ValueError("calibration_fraction must be in (0, 1)")
 
     def split(self):
-        calibration = int(self.total * self.calibration_fraction)
+        calibration = self.total // 2
         return calibration, self.total - calibration
 
 
@@ -113,7 +110,7 @@ class MethodResult:
         return sum(self.shots_used.values())
 
 
-def _check_register(dist, noise, n):
+def _check_register(dist, noise, n=None):
     if n is None:
         n = dist.n
     if dist.n != n or noise.num_qubits != n:
@@ -165,7 +162,7 @@ def _bit_strings(masks, n):
 
 def run_bare(circuit, noise, budget, seed=0):
     """All shots on the circuit; empirical frequencies, no mitigation."""
-    n = _check_register(circuit, noise, None)
+    _check_register(circuit, noise)
     shots = None if budget is None else budget.total
     observed = _observe(noise, circuit, shots, _as_rng(seed))
     return MethodResult(
@@ -176,9 +173,9 @@ def run_bare(circuit, noise, budget, seed=0):
     )
 
 
-def run_full(circuit, noise, budget, n=None, seed=0):
+def run_full(circuit, noise, budget, seed=0):
     """Dense register-scale calibration from all 2^n basis states."""
-    n = _check_register(circuit, noise, n)
+    n = _check_register(circuit, noise)
     if n > FULL_MAX_QUBITS:
         raise ValueError(f"dense calibration refused for n={n} > {FULL_MAX_QUBITS}")
     dim = 1 << n
@@ -221,14 +218,13 @@ def _single_qubit_matrices(noise, n, shots, rng):
     return {q: CalibrationMatrix((q,), arr) for q, arr in columns.items()}
 
 
-def run_linear(circuit, noise, budget, n=None, seed=0):
+def run_linear(circuit, noise, budget, seed=0):
     """Per-qubit calibration from the two circuits 0...0 and 1...1."""
-    n = _check_register(circuit, noise, n)
+    n = _check_register(circuit, noise)
     rng = _as_rng(seed)
     r, circuit_shots = _split_budget(budget, 2)
     singles = _single_qubit_matrices(noise, n, r, rng)
-    inverse = invert(SparseCalibration(tuple((m.support, m.entries) for m in singles.values())))
-    mitigated = apply(inverse, _observe(noise, circuit, circuit_shots, rng))
+    mitigated = mitigate((), singles, _observe(noise, circuit, circuit_shots, rng))
     return MethodResult(
         "linear",
         mitigated,
@@ -250,9 +246,9 @@ def _sim_masks(n):
     return (0, full, alt, full ^ alt)
 
 
-def run_sim(circuit, noise, budget, n=None, seed=0):
+def run_sim(circuit, noise, budget, seed=0):
     """Average of four statically masked runs, XOR-unmasked."""
-    n = _check_register(circuit, noise, n)
+    n = _check_register(circuit, noise)
     masks = _sim_masks(n)
     rng = _as_rng(seed)
     per = None if budget is None else budget.total // len(masks)
@@ -278,7 +274,7 @@ def _aim_masks(n):
     )
 
 
-def run_aim(circuit, noise, budget, n=None, r1=None, r2=None, top_k=None, seed=0):
+def run_aim(circuit, noise, budget, r1=None, r2=None, top_k=None, seed=0):
     """Two-phase adaptive masking: score sliding flip windows, rerun the best.
 
     Phase 1 runs every four-qubit window mask ``r1`` times and scores it by
@@ -287,7 +283,7 @@ def run_aim(circuit, noise, budget, n=None, r1=None, r2=None, top_k=None, seed=0
     In exact mode (``budget=None``) both phases use the exact corrupted
     distributions and ``r1`` and ``r2`` are ignored.
     """
-    n = _check_register(circuit, noise, n)
+    n = _check_register(circuit, noise)
     masks = _aim_masks(n)
     m = len(masks)
     if top_k is None:
@@ -329,7 +325,7 @@ def run_aim(circuit, noise, budget, n=None, r1=None, r2=None, top_k=None, seed=0
 # --- jigsaw -----------------------------------------------------------------------
 
 
-def run_jigsaw(circuit, noise, budget, n=None, patch_count=None, epsilon=0.0, seed=0):
+def run_jigsaw(circuit, noise, budget, patch_count=None, epsilon=0.0, seed=0):
     """Bayesian fusion of a global table with two-qubit sub-measurements.
 
     Random disjoint qubit pairs are each measured alone; every sub-table
@@ -345,7 +341,7 @@ def run_jigsaw(circuit, noise, budget, n=None, patch_count=None, epsilon=0.0, se
     the distribution of the matching global marginal, so it is a no-op in
     expectation.
     """
-    n = _check_register(circuit, noise, n)
+    n = _check_register(circuit, noise)
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     if patch_count is None:
@@ -428,12 +424,23 @@ def _estimate_patches(noise, plan, shots_per_circuit, rng):
     return [CalibrationMatrix(p, blocks[p]) for p in plan.patches]
 
 
-def _mitigate_with_plan(noise, dist, plan, shots_per_circuit, circuit_shots, rng, singles=None):
-    """Estimate the plan's patches, join them over the register, invert the
-    join, and apply the inverse to the observed circuit distribution."""
-    patches = _estimate_patches(noise, plan, shots_per_circuit, rng)
-    inverse = invert(assemble_for_measured(patches, range(dist.n), singles))
-    return apply(inverse, _observe(noise, dist, circuit_shots, rng))
+def mitigate(patches, singles, dist, measured=None):
+    """Join ``patches`` (and ``singles`` where none reach) over ``measured``,
+    by default the whole register, invert the join and apply it to ``dist``:
+    the one mitigation step of cmc, cmc_err, linear and the calibration store.
+
+    If ``dist.n`` equals the number of measured qubits, bit ``i`` of ``dist``
+    is the ``i``-th measured qubit in ascending order, and the joined factors
+    are relabelled onto those positions.
+    """
+    qubits = sorted({int(q) for q in (range(dist.n) if measured is None else measured)})
+    forward = assemble_for_measured(patches, qubits, singles)
+    if len(qubits) == dist.n and qubits[-1] != dist.n - 1:
+        pos = {q: i for i, q in enumerate(qubits)}
+        forward = SparseCalibration(
+            tuple((tuple(pos[q] for q in sup), arr) for sup, arr in forward.factors)
+        )
+    return apply(invert(forward), dist)
 
 
 def _num_circuits(plan):
@@ -464,7 +471,8 @@ def run_cmc(circuit, noise, budget, cmap, separation=1, seed=0):
     num_circuits = _num_circuits(plan)
     rng = _as_rng(seed)
     r, circuit_shots = _split_budget(budget, num_circuits)
-    mitigated = _mitigate_with_plan(noise, circuit, plan, r, circuit_shots, rng)
+    patches = _estimate_patches(noise, plan, r, rng)
+    mitigated = mitigate(patches, None, _observe(noise, circuit, circuit_shots, rng))
     return MethodResult(
         "cmc",
         mitigated,
@@ -530,7 +538,8 @@ def run_cmc_err(
             raise ValueError(
                 f"budget too small: {remaining} shots for {num_circuits} circuits"
             )
-    mitigated = _mitigate_with_plan(noise, circuit, plan, r_cal, circuit_shots, rng, singles)
+    patches = _estimate_patches(noise, plan, r_cal, rng)
+    mitigated = mitigate(patches, singles, _observe(noise, circuit, circuit_shots, rng))
     return MethodResult(
         "cmc_err",
         mitigated,
@@ -567,24 +576,14 @@ _OPTION_KEYS = {
 }
 
 
-# Every runner takes (circuit, noise, budget, cmap, **options).  The lambdas
-# look each run_* function up when called, so rebinding one in this module
-# (to wrap or trace it) reaches run_method too.
-_RUNNERS = {
-    "bare": lambda c, noise, b, cmap, **kw: run_bare(c, noise, b, **kw),
-    "full": lambda c, noise, b, cmap, **kw: run_full(c, noise, b, **kw),
-    "linear": lambda c, noise, b, cmap, **kw: run_linear(c, noise, b, **kw),
-    "sim": lambda c, noise, b, cmap, **kw: run_sim(c, noise, b, **kw),
-    "aim": lambda c, noise, b, cmap, **kw: run_aim(c, noise, b, **kw),
-    "jigsaw": lambda c, noise, b, cmap, **kw: run_jigsaw(c, noise, b, **kw),
-    "cmc": lambda c, noise, b, cmap, **kw: run_cmc(c, noise, b, cmap, **kw),
-    "cmc_err": lambda c, noise, b, cmap, **kw: run_cmc_err(c, noise, b, cmap, **kw),
-}
-
-
 def run_method(config, circuit, noise, budget, cmap=None, seed=0):
-    """Dispatch a StrategyConfig to its runner; a jigsaw ``seed`` option wins."""
-    if config.method in ("cmc", "cmc_err") and cmap is None:
-        raise ValueError(f"{config.method} requires a coupling map")
+    """Dispatch a StrategyConfig to ``run_<method>``, looked up here on each
+    call so that rebinding a runner (to wrap or trace it) reaches it too; a
+    jigsaw ``seed`` option wins."""
+    runner = globals()[f"run_{config.method}"]
     options = {"seed": seed, **config.options}
-    return _RUNNERS[config.method](circuit, noise, budget, cmap, **options)
+    if config.method not in ("cmc", "cmc_err"):
+        return runner(circuit, noise, budget, **options)
+    if cmap is None:
+        raise ValueError(f"{config.method} requires a coupling map")
+    return runner(circuit, noise, budget, cmap, **options)

@@ -302,8 +302,9 @@ def test_store_rejects_corruption(tmp_path):
             created="now",
             matrices=(),
         )
-    # count records that an integer cast would truncate to passing ones
-    for counts in ({"0": 2.5}, {"0": 2.5, "1": -0.5}):
+    # count records that an integer cast would truncate, or float() would
+    # read, as passing ones
+    for counts in ({"0": 2.5}, {"0": 2.5, "1": -0.5}, {"0": "2"}):
         store.save(path)
         doc = json.loads(path.read_text())
         doc["records"] = [{"support": [0], "prepared": "0", "counts": counts, "shots": 2}]

@@ -122,6 +122,10 @@ def test_counts_record_roundtrip_and_validation():
     for counts in ({"01": 99.5, "11": 0.5}, {"01": 100.5, "11": -0.5}):
         with pytest.raises(CalibrationError, match="counts must be"):
             CountsRecord.from_json({**rec.to_json(), "counts": counts})
+    # counts that float() would read as numbers
+    for counts in ({"0": "2"}, {"0": True, "1": True}, {"0": b"2"}):
+        with pytest.raises(CalibrationError, match="counts must be"):
+            CountsRecord((0,), "0", counts, 2)
     whole = CountsRecord.from_json({**rec.to_json(), "counts": {"01": 90.0, "11": 10.0}})
     assert whole == rec and all(type(v) is int for v in whole.counts.values())
 
@@ -421,9 +425,8 @@ def dists_close(a: Distribution, b: Distribution, atol=1e-9):
 def test_invert_reverses_order_and_inverts():
     rng = np.random.default_rng(41)
     f0, f1 = random_stochastic(rng, 4), random_single(rng)
-    cal = SparseCalibration((((0, 1), f0), ((2,), f1)), "forward")
+    cal = SparseCalibration((((0, 1), f0), ((2,), f1)))
     inv = invert(cal)
-    assert inv.direction == "inverse"
     assert inv.factors[0][0] == (2,)
     assert np.allclose(inv.factors[0][1], np.linalg.inv(f1))
     assert np.allclose(inv.factors[1][1], np.linalg.inv(f0))
@@ -431,7 +434,7 @@ def test_invert_reverses_order_and_inverts():
 
 def test_invert_ridge_rescues_rank_deficient_factor(caplog):
     degenerate = np.array([[0.5, 0.5], [0.5, 0.5]])
-    cal = SparseCalibration((((3,), degenerate),), "forward")
+    cal = SparseCalibration((((3,), degenerate),))
     with caplog.at_level(logging.WARNING, logger="cmcal.calibration"):
         inv = invert(cal)
     assert any("ridge" in rec.message for rec in caplog.records)
@@ -442,7 +445,7 @@ def test_invert_ridge_rescues_rank_deficient_factor(caplog):
 def test_invert_singular_factor_raises_with_support():
     # ridge shift of 1e-8 lands this factor back on a singular matrix
     hopeless = np.array([[0.0, 0.0], [0.0, -1e-8]])
-    cal = SparseCalibration((((3,), hopeless),), "forward")
+    cal = SparseCalibration((((3,), hopeless),))
     with pytest.raises(SingularFactorError) as err:
         invert(cal)
     assert err.value.support == (3,)
@@ -457,7 +460,6 @@ def test_apply_matches_dense_product():
             ((1,), random_single(rng)),
             ((3, 4), random_stochastic(rng, 4)),
         ),
-        "forward",
     )
     entries = {}
     for idx in rng.choice(1 << n, size=6, replace=False):
@@ -500,7 +502,7 @@ def test_apply_cull_threshold_stability():
 
 
 def test_apply_culls_aggressively_when_asked():
-    cal = SparseCalibration((((0,), np.array([[0.99, 0.0], [0.01, 1.0]])),), "forward")
+    cal = SparseCalibration((((0,), np.array([[0.99, 0.0], [0.01, 1.0]])),))
     dist = Distribution({"0": 1.0}, 1)
     got = apply(cal, dist, cull_threshold=0.05)
     assert set(got.entries) == {"0"}
@@ -545,9 +547,15 @@ def test_distribution_holds_sorted_index_arrays():
 def test_distribution_from_counts_rejects_malformed_counts():
     got = Distribution.from_counts({"11": 1, "00": 3, "01": 0}, 2)
     assert got.entries == {"00": 0.75, "11": 0.25}
-    for counts in ({"00": 5, "11": -1}, {"00": 1.5}, {"00": float("nan")}, {"00": "x"}):
+    for counts in ({"00": 5, "11": -1}, {"00": 1.5}, {"00": float("nan")}, {"00": "x"},
+                   {"00": "3", "11": 1}, {"00": b"3"}, {"00": True, "11": 1}):
         with pytest.raises(CalibrationError):
             Distribution.from_counts(counts, 2)
+    # float() reads numeric strings and booleans as numbers; weights must be numbers
+    for weights in ({"00": "0.5", "11": "0.5"}, {"00": True, "11": False},
+                    {"00": np.bool_(True)}, {"00": None}):
+        with pytest.raises(CalibrationError, match="weights must be numbers"):
+            Distribution(weights, 2)
     with pytest.raises(CalibrationError, match="empty counts"):
         Distribution.from_counts({"00": 0}, 2)
 

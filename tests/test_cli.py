@@ -107,8 +107,10 @@ def test_mitigate_empty_counts_file(tmp_path, capsys):
     counts_path.write_text("{}")
     assert main(["mitigate", "--store", str(store_path), "--counts", str(counts_path)]) == 1
     assert "no counts" in capsys.readouterr().err
-    # malformed counts are reported, not truncated or raised
-    for counts in ({"0000": 5, "1111": -1}, {"0000": 1.5}, {"0000": "many"}, {"0a00": 5}):
+    # malformed counts, and keys narrower than the store's register, are
+    # reported, not truncated, read as numbers, narrowed or raised
+    for counts in ({"0000": 5, "1111": -1}, {"0000": 1.5}, {"0000": "many"}, {"0a00": 5},
+                   {"0000": "5"}, {"000": 5, "111": 5}):
         counts_path.write_text(json.dumps(counts))
         assert main(["mitigate", "--store", str(store_path), "--counts", str(counts_path)]) == 1
         assert str(counts_path) in capsys.readouterr().err

@@ -283,7 +283,7 @@ def test_dense_corruption_equals_the_sparse_apply_bit_for_bit(measured):
     region = tuple(range(n)) if measured is None else measured
     fired = [ch for ch in reversed(model.channels) if set(ch.support) <= set(region)]
     forward = SparseCalibration(
-        [(tuple(region.index(q) for q in ch.support), ch.entries) for ch in fired], "forward"
+        [(tuple(region.index(q) for q in ch.support), ch.entries) for ch in fired]
     )
     for ideal in (ideal_ghz(n), Distribution.point_mass("10110010")):
         sub = ideal if measured is None else ideal.marginal(measured)

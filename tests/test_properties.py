@@ -101,3 +101,19 @@ def test_store_round_trip_mitigates_bit_identically(arch, separation, seed, shot
     first, second = store.mitigate(dist), loaded.mitigate(dist)
     assert np.array_equal(first.index, second.index)
     assert np.array_equal(first.weights, second.weights)
+
+    # measured-width input: bit i is the i-th measured qubit; the register-wide
+    # input with those bits in place mitigates to the same arrays, narrowed
+    measured = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    narrow = data.draw(distributions(len(measured), signed=False))
+    k = len(measured)
+    spread = [
+        sum(1 << (n - 1 - q) for i, q in enumerate(measured) if index >> (k - 1 - i) & 1)
+        for index in narrow.index.tolist()
+    ]
+    wide = Distribution.from_arrays(spread, narrow.weights, n)
+    got = loaded.mitigate(narrow, measured)
+    want = store.mitigate(wide, measured).marginal(measured)
+    assert got.n == k
+    assert np.array_equal(got.index, want.index)
+    assert np.array_equal(got.weights, want.weights)

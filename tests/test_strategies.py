@@ -50,8 +50,6 @@ def test_shot_budget_split():
     assert cal + circ <= b.total
     with pytest.raises(ValueError):
         ShotBudget(0)
-    with pytest.raises(ValueError):
-        ShotBudget(100, calibration_fraction=1.0)
 
 
 def test_strategy_config_validation():

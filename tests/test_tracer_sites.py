@@ -2,7 +2,8 @@
 
 Renaming or removing one of them makes ``Tracer.install`` raise, which would
 only show when the benchmark runs with ``--trace 1``; this test makes it fail
-the unit suite instead.
+the unit suite instead.  It also checks that every mitigation path still
+calls the join, the inversion and the application through a wrapped name.
 """
 
 import importlib.util
@@ -10,8 +11,11 @@ import inspect
 from pathlib import Path
 
 from cmcal import strategies
+from cmcal.bench import CalibrationStore
 from cmcal.noise import NoiseModel, NoiseSpec, ideal_ghz
-from cmcal.topology import generate_architecture
+from cmcal.topology import generate_architecture, greedy_patch_plan
+
+PIPELINE = {"calibration.assemble", "calibration.invert", "calibration.apply"}
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -27,17 +31,34 @@ def test_tracer_installs_on_every_site_and_uninstalls():
     spans = _load_spans()
     sites = [(spans._resolve(path), attr) for path, attr, _ in spans.SITES]
     originals = [inspect.getattr_static(owner, attr) for owner, attr in sites]
+    cmap = generate_architecture("grid", rows=2, cols=2)
+    noise = NoiseModel.from_spec(4, NoiseSpec.random(4, seed=1))
+    matrices, singles = strategies.calibrate_patches(noise, greedy_patch_plan(cmap, 1))
+    store = CalibrationStore("grid2x2", "now", tuple(matrices), singles=singles)
+    observed = noise.corrupted(ideal_ghz(4))
     tracer = spans.Tracer()
     tracer.install()
     try:
         for (owner, attr), raw in zip(sites, originals):
             assert inspect.getattr_static(owner, attr) is not raw, attr
-        cmap = generate_architecture("grid", rows=2, cols=2)
-        noise = NoiseModel.from_spec(4, NoiseSpec.random(4, seed=1))
         strategies.run_cmc(ideal_ghz(4), noise, strategies.ShotBudget(4000), cmap, seed=2)
+        linear_from = len(tracer.spans)
+        strategies.run_linear(ideal_ghz(4), noise, strategies.ShotBudget(4000), seed=2)
+        store_from = len(tracer.spans)
+        store.mitigate(observed)
+        store.mitigate(observed.marginal((1, 3)), measured=(1, 3))
     finally:
         tracer.uninstall()
     for (owner, attr), raw in zip(sites, originals):
         assert inspect.getattr_static(owner, attr) is raw, attr
     names = {span.name for span in tracer.spans}
     assert {"strategies.cmc", "noise.marginal", "noise.sample", "calibration.apply"} <= names
+    linear = {span.name for span in tracer.spans[linear_from:store_from]}
+    assert {"calibration.invert", "calibration.apply"} <= linear
+    stored = tracer.spans[store_from:]
+    calls = [span for span in stored if span.name == "bench.mitigate"]
+    assert len(calls) == 2
+    for call in calls:
+        index = tracer.spans.index(call)
+        children = {span.name for span in stored if span.parent == index}
+        assert PIPELINE <= children
