@@ -4,8 +4,13 @@ A calibration matrix over a small qubit support is column-stochastic:
 ``entries[observed, prepared]`` is the probability of reading ``observed``
 after preparing ``prepared``.  Register-scale calibrations are never
 materialized; they are kept as an ordered list of small factors
-(:class:`SparseCalibration`) that is applied to a :class:`Distribution`'s
-basis-index arrays one factor at a time.
+(:class:`SparseCalibration`).  :func:`apply` scatters a
+:class:`Distribution`'s basis-index arrays into a dense float64 tensor with
+one axis per qubit the factors touch, plus a leading block axis for each
+distinct pattern of the untouched bits, runs the factors on it one at a time
+through :func:`_apply_local` (the kernel exact noise corruption uses too),
+and gathers the positive entries back to sorted indices.  A tensor past
+``MAX_APPLY_ENTRIES`` entries raises :class:`CalibrationError`.
 
 One basis convention everywhere: qubit ``q`` of an ``n``-qubit register is
 bit ``n - 1 - q`` of its basis index, so qubit 0 is the most significant bit
@@ -39,6 +44,8 @@ RIDGE_EPS = 1e-8
 DEFAULT_CULL = 1e-12
 
 _MAX_DENSE_QUBITS = 14
+# largest tensor apply() builds, in float64 entries (blocks x 2^qubits): 128 MB
+MAX_APPLY_ENTRIES = 1 << 24
 MAX_REGISTER_QUBITS = 64  # register indices are packed into uint64
 
 
@@ -93,6 +100,21 @@ def extract_index(idx: np.ndarray, support: tuple[int, ...], n: int) -> np.ndarr
     return out
 
 
+def _deposit_index(local: np.ndarray, support: tuple[int, ...], n: int) -> np.ndarray:
+    """Inverse of :func:`extract_index`: local support indices as register
+    indices with the other bits 0.  Runs of adjacent support qubits move as one."""
+    p = len(support)
+    runs: dict[int, int] = {}
+    for pos, q in enumerate(support):
+        shift = (n - 1 - q) - (p - 1 - pos)
+        runs[shift] = runs.get(shift, 0) | 1 << (p - 1 - pos)
+    local = local.astype(np.uint64)
+    out = np.zeros_like(local)
+    for shift, mask in runs.items():
+        out |= (local & np.uint64(mask)) << np.uint64(shift)
+    return out
+
+
 def _parse_bits(keys, width: int, fits: str) -> np.ndarray:
     """``uint64`` basis indices of ``width``-character bitstrings, qubit 0 first.
 
@@ -122,6 +144,12 @@ def _as_floats(values, what: str) -> np.ndarray:
         return np.fromiter(values, dtype=float, count=len(values))
     except (TypeError, ValueError) as exc:
         raise CalibrationError(f"{what}: {exc}") from None
+
+
+def _finite(weights: np.ndarray) -> np.ndarray:
+    if not np.isfinite(weights).all():
+        raise CalibrationError("weights must be finite")
+    return weights
 
 
 def _as_counts(values) -> np.ndarray:
@@ -260,7 +288,8 @@ class Distribution:
     path works on these arrays.  Bitstrings appear only at the edges: the
     ``Distribution({bitstring: weight}, n)`` constructor, :meth:`from_counts`,
     :meth:`point_mass`, and the read-only :attr:`entries` view, formatted on
-    first use.  :meth:`from_arrays` builds one from indices directly.
+    first use.  :meth:`from_arrays` builds one from indices directly.  The
+    constructor and :meth:`from_arrays` refuse non-finite weights.
 
     Intermediate stages of mitigation may hold quasi-probabilities (negative
     or non-normalized weights); :meth:`finalized` clamps and renormalizes.
@@ -270,7 +299,7 @@ class Distribution:
 
     def __init__(self, entries, n: int):
         n = _as_register(n)
-        weights = _as_floats(entries.values(), "weights must be numbers")
+        weights = _finite(_as_floats(entries.values(), "weights must be numbers"))
         self._set(_parse_bits(entries, n, f"is not a {n}-bit string"), weights, n)
 
     def _set(self, index: np.ndarray, weights: np.ndarray, n: int):
@@ -291,7 +320,8 @@ class Distribution:
     @classmethod
     def from_arrays(cls, index, weights, n: int) -> "Distribution":
         """From copies of distinct basis indices, in any order, and their weights."""
-        return cls._adopt(np.array(index, dtype=np.uint64), np.array(weights, dtype=float), n)
+        weights = _finite(np.array(weights, dtype=float))
+        return cls._adopt(np.array(index, dtype=np.uint64), weights, n)
 
     @classmethod
     def _adopt(cls, index, weights, n: int) -> "Distribution":
@@ -714,11 +744,19 @@ def apply(
     dist: Distribution,
     cull_threshold: float = DEFAULT_CULL,
 ) -> Distribution:
-    """Apply factors in stored order as sparse matvecs over the index arrays.
+    """Apply factors in stored order on a dense float64 tensor.
 
-    After each factor, entries below ``cull_threshold`` of the current total
-    absolute mass are dropped; the final distribution is clamped to
-    non-negative weights and renormalized.
+    The tensor has one axis per qubit the factors touch, in ascending order,
+    after one leading block axis with an entry for each distinct pattern of
+    ``dist``'s untouched bits; when those bits are all 0, or the factors
+    cover the register, it has one entry.  Each factor runs through
+    :func:`_apply_local`, so every entry is summed in the order a sparse
+    per-factor merge over sorted indices would sum it.  After each factor,
+    entries below ``cull_threshold`` of the total absolute mass are set to
+    zero; the final distribution is clamped to non-negative weights,
+    gathered back to sorted register indices and renormalized.  A tensor of
+    more than ``MAX_APPLY_ENTRIES`` entries raises ``CalibrationError``
+    before it is allocated.
     """
     n = dist.n
     if dist.index.size == 0:
@@ -726,36 +764,78 @@ def apply(
     for support, _ in cal.factors:
         if max(support) >= n:
             raise CalibrationError(f"factor support {support} exceeds register {n}")
-    idx, weights = dist.index, dist.weights
+    touched = tuple(sorted({q for support, _ in cal.factors for q in support}))
+    k = len(touched)
+    rest = dist.index & np.uint64(((1 << n) - 1) ^ support_mask(touched, n))
+    if rest.any():
+        blocks, block = np.unique(rest, return_inverse=True)
+    else:
+        blocks, block = rest[:1], 0
+    if blocks.size << k > MAX_APPLY_ENTRIES:
+        raise CalibrationError(
+            f"applying factors over {k} qubits in {blocks.size} block(s) needs "
+            f"{blocks.size << k} entries, over the {MAX_APPLY_ENTRIES}-entry bound"
+        )
+    tensor = np.zeros(blocks.size << k)
+    tensor[(block << k) | extract_index(dist.index, touched, n).astype(np.intp)] = dist.weights
+    tensor = tensor.reshape((blocks.size,) + (2,) * k)
+    axis = {q: i + 1 for i, q in enumerate(touched)}
+    spare = np.empty_like(tensor)
     for support, arr in cal.factors:
-        idx, weights = _apply_factor(idx, weights, support, arr, n)
+        tensor, spare = _apply_local(tensor, tuple(axis[q] for q in support), arr, spare), tensor
         if cull_threshold > 0.0:
-            floor = cull_threshold * np.abs(weights).sum()
-            keep = np.abs(weights) >= floor
-            idx, weights = idx[keep], weights[keep]
-        if idx.size == 0:
-            raise CalibrationError("all mass culled during application")
-    positive = weights > 0.0
-    idx, weights = idx[positive], weights[positive]
+            magnitude = np.abs(tensor, out=spare)
+            keep = magnitude >= cull_threshold * magnitude.sum()
+            if not keep.any():
+                raise CalibrationError("all mass culled during application")
+            # a culled negative entry becomes -0.0, which no later sum and
+            # not the final clamp can tell from 0.0
+            tensor *= keep
+    flat = tensor.reshape(-1)
+    hit = np.flatnonzero(flat > 0.0)
+    weights = flat[hit]
+    index = _deposit_index(hit & ((1 << k) - 1), touched, n) | blocks[hit >> k]
+    if blocks.size > 1:
+        order = np.argsort(index)
+        index, weights = index[order], weights[order]
     total = weights.sum()
     if total <= 0.0:
         raise CalibrationError("no positive mass left after mitigation")
-    return Distribution._adopt(idx, weights / total, n)
+    return Distribution._adopt(index, weights / total, n)
 
 
-def _apply_factor(idx, weights, support, arr, n):
-    local = extract_index(idx, support, n).astype(np.int64)
-    cleared = idx & np.uint64(~support_mask(support, n) & ((1 << n) - 1))
-    out_idx = []
-    out_w = []
-    for row in range(1 << len(support)):
-        coeff = arr[row, local]
-        nz = coeff != 0.0
-        if not nz.any():
-            continue
-        ones = tuple(q for pos, q in enumerate(reversed(support)) if row >> pos & 1)
-        out_idx.append(cleared[nz] | np.uint64(support_mask(ones, n)))
-        out_w.append(coeff[nz] * weights[nz])
-    if not out_idx:
-        return np.empty(0, dtype=np.uint64), np.empty(0)
-    return _summed(np.concatenate(out_idx), np.concatenate(out_w))
+def _apply_local(tensor, axes, matrix, out):
+    """``matrix`` applied to the ``axes`` of ``tensor`` (first axis = most
+    significant local bit), written to and returned as ``out``, an array of
+    the same shape.
+
+    The one per-factor kernel, for mitigation and for exact noise
+    corruption.  Each output slice is summed term by term in ascending input
+    order and zero coefficients are skipped, so an entry carries the
+    rounding of a merge that adds the nonzero terms of sorted inputs.
+    """
+    p = len(axes)
+    dim = 1 << p
+    views = []
+    for local in range(dim):
+        index = [slice(None)] * tensor.ndim
+        for j, axis in enumerate(axes):
+            index[axis] = (local >> (p - 1 - j)) & 1
+        views.append(tuple(index))
+    # each row sums into a contiguous buffer and is written out once: a
+    # strided view is slow to accumulate into
+    shape = np.shape(tensor[views[0]])
+    acc, term = np.empty(shape), np.empty(shape)
+    for row in range(dim):
+        first = True
+        for col in range(dim):
+            coeff = matrix[row, col]
+            if coeff == 0.0:
+                continue
+            if first:
+                np.multiply(tensor[views[col]], coeff, out=acc)
+                first = False
+            else:
+                acc += np.multiply(tensor[views[col]], coeff, out=term)
+        out[views[row]] = 0.0 if first else acc
+    return out

@@ -21,7 +21,7 @@ from .bench import (
     emit_results,
     run_experiment,
 )
-from .calibration import Distribution
+from .calibration import CalibrationError, Distribution
 from .noise import NoiseModel, NoiseSpec, state_dependent_channel, x_chain_experiment
 from .strategies import calibrate_patches
 from .topology import (
@@ -98,6 +98,9 @@ def _cmd_mitigate(args):
     with open(args.counts) as fh:
         doc = json.load(fh)
     counts = doc["counts"] if isinstance(doc, dict) and "counts" in doc else doc
+    if not isinstance(counts, dict):
+        print(f"counts file {args.counts} is not a {{bitstring: count}} object", file=sys.stderr)
+        return 1
     if not counts:
         print(f"counts file {args.counts} holds no counts", file=sys.stderr)
         return 1
@@ -109,7 +112,11 @@ def _cmd_mitigate(args):
     except ValueError as exc:  # CalibrationError included
         print(f"counts file {args.counts}: {exc}", file=sys.stderr)
         return 1
-    mitigated = store.mitigate(observed)
+    try:
+        mitigated = store.mitigate(observed)
+    except CalibrationError as exc:
+        print(f"mitigating {args.counts} with {args.store}: {exc}", file=sys.stderr)
+        return 1
     _write_out(json.dumps(dict(mitigated.entries), indent=2), args.out)
     return 0
 

@@ -5,12 +5,15 @@ column-stochastic type the calibration side estimates; its support may span
 the whole register.  A :class:`NoiseModel` holds an ordered set of channels
 over a register and corrupts ideal :class:`~cmcal.calibration.Distribution`
 objects exactly before seeded sampling: on a dense float64 tensor with one
-axis per qubit of the measured region, each channel acting on its own axes,
-for regions of up to ``_DENSE_CORRUPT_QUBITS`` qubits, and by the sparse
-``calibration.apply`` over wider ones.  Corruption and sampling work on basis
-indices; bitstrings are formed only for the ``{bitstring: count}`` results of
-:meth:`NoiseModel.sample` and :func:`simulate_counts`.  The benchmark
-circuits (``ideal_ghz``, ``ghz_distribution``) are plain distributions too.
+axis per qubit of the measured region, each channel acting on its own axes
+through ``calibration._apply_local``, the kernel mitigation applies inverse
+factors with.  A region of more than ``calibration.MAX_APPLY_ENTRIES`` basis
+states goes to ``calibration.apply``, whose tensor spans only the qubits the
+channels touch and raises ``CalibrationError`` past the same bound.
+Corruption and sampling work on basis indices; bitstrings are formed only
+for the ``{bitstring: count}`` results of :meth:`NoiseModel.sample` and
+:func:`simulate_counts`.  The benchmark circuits (``ideal_ghz``,
+``ghz_distribution``) are plain distributions too.
 
 Subset measurement: when only a subset of the register is measured, a channel
 fires only if its support lies entirely inside the measured set — correlated
@@ -30,10 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import (
+    MAX_APPLY_ENTRIES,
     CalibrationError,
     CalibrationMatrix,
     Distribution,
     SparseCalibration,
+    _apply_local,
     _summed,
     apply as apply_channels,
     embed_dense,
@@ -54,9 +59,6 @@ __all__ = [
     "simulate_counts",
     "x_chain_experiment",
 ]
-
-# widest region corrupted on a dense tensor: 2^22 float64 entries are 32 MB
-_DENSE_CORRUPT_QUBITS = 22
 
 
 def _as_rng(seed):
@@ -226,13 +228,14 @@ class NoiseModel:
         ``ideal`` is a register :class:`Distribution`, or a basis state given
         as ``{qubit: bit}`` with unlisted qubits 0: a basis state restricted
         to the region is a basis state, so it needs no register-wide index.
-        Up to ``_DENSE_CORRUPT_QUBITS`` qubits the result is a float64 tensor
-        of shape ``(2,) * len(region)``, axis ``i`` carrying ``region[i]``:
-        the input marginal is scattered into it once, each channel acts on
-        its support axes in firing order, and, if any channel fired,
-        non-positive entries are zeroed and the rest renormalized as
+        Up to ``MAX_APPLY_ENTRIES`` basis states the result is a float64
+        tensor of shape ``(2,) * len(region)``, axis ``i`` carrying
+        ``region[i]``: the input marginal is scattered into it once, each
+        channel acts on its support axes in firing order, and, if any channel
+        fired, non-positive entries are zeroed and the rest renormalized as
         ``apply(..., cull_threshold=0.0)`` does.  Wider regions return the
-        :class:`Distribution` of that sparse ``apply``.
+        :class:`Distribution` of that ``apply``, which raises
+        ``CalibrationError`` when the channels touch too many qubits.
         """
         p = len(region)
         if isinstance(ideal, Distribution):
@@ -253,7 +256,7 @@ class NoiseModel:
             for ch in reversed(self.channels)
             if pos.keys() >= set(ch.support)
         )
-        if p > _DENSE_CORRUPT_QUBITS:
+        if 1 << p > MAX_APPLY_ENTRIES:
             sub = Distribution._adopt(*_summed(local, weights), p)
             if not factors:
                 return sub
@@ -262,8 +265,9 @@ class NoiseModel:
         tensor = tensor.reshape((2,) * p)
         if not factors:
             return tensor
+        spare = np.empty_like(tensor)
         for axes, matrix in factors:
-            tensor = _apply_local(tensor, axes, matrix)
+            tensor, spare = _apply_local(tensor, axes, matrix, spare), tensor
         positive = tensor > 0.0
         tensor[~positive] = 0.0
         total = tensor[positive].sum()
@@ -317,35 +321,6 @@ class NoiseModel:
         distribution; keys cover the measured qubits in ascending order."""
         counts = sample_distribution(self.corrupted(ideal, measured), shots, seed)
         return {key: int(count) for key, count in counts.entries.items()}
-
-
-def _apply_local(tensor, axes, matrix):
-    """``matrix`` applied to the ``axes`` of ``tensor`` (first axis = most
-    significant local bit).
-
-    Each output slice is summed term by term in ascending input order and
-    zero coefficients are skipped, so entries carry the same rounding as
-    the sparse ``apply`` of the same channel.
-    """
-    p = len(axes)
-    dim = 1 << p
-    views = []
-    for local in range(dim):
-        index = [slice(None)] * tensor.ndim
-        for j, axis in enumerate(axes):
-            index[axis] = (local >> (p - 1 - j)) & 1
-        views.append(tuple(index))
-    out = np.zeros_like(tensor)
-    for row in range(dim):
-        acc = None
-        for col in range(dim):
-            coeff = matrix[row, col]
-            if coeff != 0.0:
-                term = coeff * tensor[views[col]]
-                acc = term if acc is None else acc + term
-        if acc is not None:
-            out[views[row]] = acc
-    return out
 
 
 def _marginal(corrupted, axes):

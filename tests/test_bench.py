@@ -165,6 +165,16 @@ def test_run_experiment_records_registers_past_the_index_bound():
     assert all(r.error is not None and "64" in r.error for r in records)
 
 
+def test_run_experiment_records_registers_past_the_dense_bound():
+    # exact corruption of all 27 qubits needs 2^27 entries, over MAX_APPLY_ENTRIES:
+    # a typed error before anything register-sized is allocated, not a MemoryError
+    config = _config(architecture={"kind": "heavy_hex", "num_qubits": 27}, trials=1,
+                     methods=({"method": "cmc"},))
+    (record,) = run_experiment(config)
+    assert record.error is not None and "over 27 qubits" in record.error
+    assert record.one_norm is None
+
+
 def test_run_experiment_fixed_noise():
     spec = {
         "kind": "fixed",

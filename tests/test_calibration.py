@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cmcal.calibration import (
+    MAX_APPLY_ENTRIES,
     MAX_PATCH_QUBITS,
     CalibrationError,
     CalibrationMatrix,
@@ -501,6 +502,18 @@ def test_apply_cull_threshold_stability():
     assert sum(abs(a.entries.get(k, 0.0) - b.entries.get(k, 0.0)) for k in keys) < 1e-6
 
 
+def test_apply_refuses_a_tensor_past_the_bound_before_allocating():
+    # 25 touched qubits need 2^25 entries; two blocks of 24 qubits need 2^25 too
+    wide = SparseCalibration(tuple(((q,), np.eye(2)) for q in range(25)))
+    with pytest.raises(CalibrationError, match="over 25 qubits"):
+        apply(wide, Distribution.point_mass("0" * 25))
+    assert MAX_APPLY_ENTRIES == 1 << 24
+    blocked = SparseCalibration(tuple(((q,), np.eye(2)) for q in range(24)))
+    dist = Distribution({"0" * 25: 0.5, "0" * 24 + "1": 0.5}, 25)
+    with pytest.raises(CalibrationError, match="in 2 block"):
+        apply(blocked, dist)
+
+
 def test_apply_culls_aggressively_when_asked():
     cal = SparseCalibration((((0,), np.array([[0.99, 0.0], [0.01, 1.0]])),))
     dist = Distribution({"0": 1.0}, 1)
@@ -556,6 +569,12 @@ def test_distribution_from_counts_rejects_malformed_counts():
                     {"00": np.bool_(True)}, {"00": None}):
         with pytest.raises(CalibrationError, match="weights must be numbers"):
             Distribution(weights, 2)
+    # an infinite weight mitigated to {"00": nan}; a NaN one to "all mass culled"
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(CalibrationError, match="weights must be finite"):
+            Distribution({"00": bad, "11": 0.5}, 2)
+        with pytest.raises(CalibrationError, match="weights must be finite"):
+            Distribution.from_arrays([0, 3], [bad, 0.5], 2)
     with pytest.raises(CalibrationError, match="empty counts"):
         Distribution.from_counts({"00": 0}, 2)
 

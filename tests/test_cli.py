@@ -110,10 +110,22 @@ def test_mitigate_empty_counts_file(tmp_path, capsys):
     # malformed counts, and keys narrower than the store's register, are
     # reported, not truncated, read as numbers, narrowed or raised
     for counts in ({"0000": 5, "1111": -1}, {"0000": 1.5}, {"0000": "many"}, {"0a00": 5},
-                   {"0000": "5"}, {"000": 5, "111": 5}):
+                   {"0000": "5"}, {"000": 5, "111": 5}, [1], {"counts": ["0000"]}):
         counts_path.write_text(json.dumps(counts))
         assert main(["mitigate", "--store", str(store_path), "--counts", str(counts_path)]) == 1
         assert str(counts_path) in capsys.readouterr().err
+    # 30-bit keys get identity factors past the store's qubits: too wide to apply
+    counts_path.write_text(json.dumps({"0" * 30: 5, "1" * 30: 5}))
+    assert main(["mitigate", "--store", str(store_path), "--counts", str(counts_path)]) == 1
+    assert "over 30 qubits" in capsys.readouterr().err
+    # a store whose patches share two qubits loads, but cannot be joined
+    doc = json.loads(store_path.read_text())
+    eye = [[float(row == col) for col in range(8)] for row in range(8)]
+    doc["matrices"].append({"support": [0, 1, 2], "entries": eye})
+    store_path.write_text(json.dumps(doc))
+    counts_path.write_text(json.dumps({"0000": 5, "1111": 5}))
+    assert main(["mitigate", "--store", str(store_path), "--counts", str(counts_path)]) == 1
+    assert "share more than one qubit" in capsys.readouterr().err
 
 
 def _bench_config(tmp_path):

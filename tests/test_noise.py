@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from cmcal.calibration import (
+    MAX_APPLY_ENTRIES,
     MAX_PATCH_QUBITS,
     CalibrationError,
     CalibrationMatrix,
     Distribution,
     SparseCalibration,
+    _summed,
     apply,
     embed_dense,
+    extract_index,
+    support_mask,
 )
 from cmcal.noise import (
-    _DENSE_CORRUPT_QUBITS,
     NoiseModel,
     NoiseSpec,
     compose,
@@ -272,9 +275,70 @@ def test_marginal_after_noise_matches_full_marginal():
             assert fast.entries[k] == pytest.approx(slow.entries[k], abs=1e-12)
 
 
+def _sparse_factor(idx, weights, support, arr, n):
+    """One factor as a sparse merge: every nonzero term of every sorted input
+    entry, then the terms landing on one index summed in input order."""
+    local = extract_index(idx, support, n).astype(np.int64)
+    cleared = idx & np.uint64(~support_mask(support, n) & ((1 << n) - 1))
+    out_idx = []
+    out_w = []
+    for row in range(1 << len(support)):
+        coeff = arr[row, local]
+        nz = coeff != 0.0
+        if not nz.any():
+            continue
+        ones = tuple(q for pos, q in enumerate(reversed(support)) if row >> pos & 1)
+        out_idx.append(cleared[nz] | np.uint64(support_mask(ones, n)))
+        out_w.append(coeff[nz] * weights[nz])
+    if not out_idx:
+        return np.empty(0, dtype=np.uint64), np.empty(0)
+    return _summed(np.concatenate(out_idx), np.concatenate(out_w))
+
+
+def _sparse_apply(cal, dist, cull_threshold):
+    """Reference for ``calibration.apply``: the factors applied as sparse
+    merges over sorted index arrays, culling dropped entries after each."""
+    n = dist.n
+    idx, weights = dist.index, dist.weights
+    for support, arr in cal.factors:
+        idx, weights = _sparse_factor(idx, weights, support, arr, n)
+        if cull_threshold > 0.0:
+            floor = cull_threshold * np.abs(weights).sum()
+            keep = np.abs(weights) >= floor
+            idx, weights = idx[keep], weights[keep]
+    positive = weights > 0.0
+    idx, weights = idx[positive], weights[positive]
+    return Distribution._adopt(idx, weights / weights.sum(), n)
+
+
+def test_apply_equals_the_sparse_merge_bit_for_bit_on_a_blocked_input():
+    # Set bits outside the factor supports put the input in several blocks;
+    # 3- and 4-qubit factors on non-adjacent qubits, inverse ones signed.
+    rng = np.random.default_rng(8)
+    n = 12
+    supports = ((0, 3, 7), (2, 5, 8, 11), (3, 9), (5,), (0, 2, 9, 11))
+    factors = []
+    for i, support in enumerate(supports):
+        dim = 1 << len(support)
+        mat = rng.uniform(0.0, 0.1, (dim, dim)) + np.eye(dim)
+        mat /= mat.sum(axis=0)
+        mat[rng.random((dim, dim)) < 0.2] = 0.0
+        factors.append((support, np.linalg.inv(mat) if i % 2 else mat))
+    cal = SparseCalibration(tuple(factors))
+    index = rng.choice(1 << n, size=300, replace=False)
+    dist = Distribution.from_arrays(index, rng.uniform(0.0, 1.0, index.size), n)
+    untouched = support_mask((1, 4, 6, 10), n)
+    assert len({int(i) & untouched for i in dist.index}) > 1
+    for cull in (1e-12, 1e-3, 0.0):
+        got = apply(cal, dist) if cull == 1e-12 else apply(cal, dist, cull_threshold=cull)
+        want = _sparse_apply(cal, dist, cull)
+        assert np.array_equal(got.index, want.index)
+        assert np.array_equal(got.weights, want.weights)
+
+
 @pytest.mark.parametrize("measured", [None, (0, 2, 3, 6)])
 def test_dense_corruption_equals_the_sparse_apply_bit_for_bit(measured):
-    # The sparse apply is the reference: same channels in firing order, same
+    # The sparse merge is the reference: same channels in firing order, same
     # clamping and renormalization, same rounding.
     cmap = generate_architecture("heavy_hex", num_qubits=8)
     n = cmap.num_qubits
@@ -287,7 +351,7 @@ def test_dense_corruption_equals_the_sparse_apply_bit_for_bit(measured):
     )
     for ideal in (ideal_ghz(n), Distribution.point_mass("10110010")):
         sub = ideal if measured is None else ideal.marginal(measured)
-        want = apply(forward, sub, cull_threshold=0.0)
+        want = _sparse_apply(forward, sub, cull_threshold=0.0)
         got = model.corrupted(ideal, measured)
         assert got.entries == want.entries
         assert list(got.entries) == list(want.entries)
@@ -346,7 +410,9 @@ def test_sample_equals_sampling_the_corrupted_distribution(kind, params, edge_fl
 
 
 def test_wide_register_corrupts_exactly_on_the_sparse_path():
-    n = _DENSE_CORRUPT_QUBITS + 3
+    # wider than a dense region; the channels touch 3 qubits, so apply's
+    # tensor holds the two GHZ blocks of 2^3 entries
+    n = MAX_APPLY_ENTRIES.bit_length() + 2
     channels = (
         state_dependent_channel(0.1, 0.2, qubit=2),
         correlated_channel((0, n - 1), "pairwise_flip", 0.25),

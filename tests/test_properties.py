@@ -5,11 +5,19 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmcal.bench import CalibrationStore, one_norm
-from cmcal.calibration import Distribution, assemble_for_measured, invert
+from cmcal.calibration import (
+    CalibrationError,
+    Distribution,
+    SparseCalibration,
+    apply,
+    assemble_for_measured,
+    invert,
+)
 from cmcal.noise import NoiseModel, NoiseSpec, correlated_channel, state_dependent_channel
 from cmcal.strategies import calibrate_patches
 from cmcal.topology import generate_architecture, greedy_patch_plan
@@ -74,6 +82,40 @@ def test_distribution_round_trips_and_matches_the_dense_oracle(dist, data):
     other = data.draw(distributions(n))
     want = np.abs(_dense(dist) - _dense(other)).sum()
     assert abs(one_norm(dist, other) - want) <= 1e-12
+
+
+@st.composite
+def factor_lists(draw, n):
+    """Up to six factors on 1-4 qubits of an n-qubit register: the identity
+    plus signed perturbations, some entries exactly zero."""
+    factors = []
+    for _ in range(draw(st.integers(0, 6))):
+        support = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                            max_size=min(4, n)))))
+        dim = 1 << len(support)
+        noise = draw(st.lists(st.sampled_from([0.0, 0.0, -0.2, -0.05, 0.05, 0.1, 0.3]),
+                              min_size=dim * dim, max_size=dim * dim))
+        factors.append((support, np.eye(dim) + np.reshape(noise, (dim, dim))))
+    return SparseCalibration(tuple(factors))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(distributions(signed=False), st.data())
+def test_apply_matches_the_dense_product_after_clamping(dist, data):
+    # On a register up to 10 qubits wide, any set bits outside the factors
+    # included, apply without culling is the dense product, clamped and
+    # renormalized.
+    n = dist.n
+    cal = data.draw(factor_lists(n))
+    want = np.clip(cal.dense(n) @ _dense(dist), 0.0, None)
+    if want.sum() <= 1e-9:
+        with pytest.raises(CalibrationError):
+            apply(cal, dist, cull_threshold=0.0)
+        return
+    got = apply(cal, dist, cull_threshold=0.0)
+    assert got.n == n and np.all(np.diff(got.index.astype(np.int64)) > 0)
+    assert np.all(got.weights > 0.0) and abs(got.total() - 1.0) <= 1e-12
+    assert np.allclose(_dense(got), want / want.sum(), rtol=0.0, atol=1e-9)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
