@@ -44,8 +44,13 @@ RIDGE_EPS = 1e-8
 DEFAULT_CULL = 1e-12
 
 _MAX_DENSE_QUBITS = 14
-# largest tensor apply() builds, in float64 entries (blocks x 2^qubits): 128 MB
-MAX_APPLY_ENTRIES = 1 << 24
+# Largest tensor apply() builds, in float64 entries (blocks x 2^qubits), and
+# the widest region noise corrupts densely.  The tensor is 512 MB at the bound;
+# with the factor loop's second tensor and row buffers, mitigating 16k counts
+# over 26 qubits peaked at 1.6 GB RSS (70 s), and exact corruption of a
+# 26-qubit register at 2.1 GB, 1 GB of it the 2^26-entry result (on a
+# 2-CPU Xeon host, numpy float64).
+MAX_APPLY_ENTRIES = 1 << 26
 MAX_REGISTER_QUBITS = 64  # register indices are packed into uint64
 
 
@@ -110,8 +115,10 @@ def _deposit_index(local: np.ndarray, support: tuple[int, ...], n: int) -> np.nd
         runs[shift] = runs.get(shift, 0) | 1 << (p - 1 - pos)
     local = local.astype(np.uint64)
     out = np.zeros_like(local)
+    part = np.empty_like(local)
     for shift, mask in runs.items():
-        out |= (local & np.uint64(mask)) << np.uint64(shift)
+        np.bitwise_and(local, np.uint64(mask), out=part)
+        out |= np.left_shift(part, np.uint64(shift), out=part)
     return out
 
 
@@ -749,9 +756,11 @@ def apply(
     The tensor has one axis per qubit the factors touch, in ascending order,
     after one leading block axis with an entry for each distinct pattern of
     ``dist``'s untouched bits; when those bits are all 0, or the factors
-    cover the register, it has one entry.  Each factor runs through
-    :func:`_apply_local`, so every entry is summed in the order a sparse
-    per-factor merge over sorted indices would sum it.  After each factor,
+    cover the register, it has one entry.  Identity factors, such as those
+    :func:`assemble_for_measured` gives uncovered qubits, add no axis.  Each
+    other factor runs through :func:`_apply_local`, so every entry is summed
+    in the order a sparse per-factor merge over sorted indices would sum
+    it.  After each factor,
     entries below ``cull_threshold`` of the total absolute mass are set to
     zero; the final distribution is clamped to non-negative weights,
     gathered back to sorted register indices and renormalized.  A tensor of
@@ -764,7 +773,12 @@ def apply(
     for support, _ in cal.factors:
         if max(support) >= n:
             raise CalibrationError(f"factor support {support} exceeds register {n}")
-    touched = tuple(sorted({q for support, _ in cal.factors for q in support}))
+    # an identity factor changes no entry; its qubits stay out of the tensor
+    # unless another factor touches them, and only its cull step is run
+    moves = [not np.array_equal(arr, np.eye(arr.shape[0])) for _, arr in cal.factors]
+    touched = tuple(sorted({
+        q for (support, _), move in zip(cal.factors, moves) if move for q in support
+    }))
     k = len(touched)
     rest = dist.index & np.uint64(((1 << n) - 1) ^ support_mask(touched, n))
     if rest.any():
@@ -778,11 +792,38 @@ def apply(
         )
     tensor = np.zeros(blocks.size << k)
     tensor[(block << k) | extract_index(dist.index, touched, n).astype(np.intp)] = dist.weights
-    tensor = tensor.reshape((blocks.size,) + (2,) * k)
     axis = {q: i + 1 for i, q in enumerate(touched)}
+    steps = [(tuple(axis[q] for q in support) if move else None, arr)
+             for (support, arr), move in zip(cal.factors, moves)]
+    tensor = _run_factors(tensor.reshape((blocks.size,) + (2,) * k), steps, cull_threshold)
+    flat = tensor.reshape(-1)
+    hit = np.flatnonzero(flat > 0.0)
+    weights = flat[hit]
+    # the tensor goes before the gather, which holds a few arrays of the
+    # result's length
+    del tensor, flat
+    rest = blocks[hit >> k] if blocks.size > 1 else blocks[0]
+    hit &= (1 << k) - 1
+    index = _deposit_index(hit, touched, n)
+    del hit
+    index |= rest
+    if blocks.size > 1:
+        order = np.argsort(index)
+        index, weights = index[order], weights[order]
+    total = weights.sum()
+    if total <= 0.0:
+        raise CalibrationError("no positive mass left after mitigation")
+    return Distribution._adopt(index, weights / total, n)
+
+
+def _run_factors(tensor, steps, cull_threshold):
+    """The ``(axes, matrix)`` steps of :func:`apply` on ``tensor``, in order,
+    each followed by the cull; a step whose axes are None only culls.  The
+    second tensor and the cull mask are freed on return, before the gather."""
     spare = np.empty_like(tensor)
-    for support, arr in cal.factors:
-        tensor, spare = _apply_local(tensor, tuple(axis[q] for q in support), arr, spare), tensor
+    for axes, matrix in steps:
+        if axes is not None:
+            tensor, spare = _apply_local(tensor, axes, matrix, spare), tensor
         if cull_threshold > 0.0:
             magnitude = np.abs(tensor, out=spare)
             keep = magnitude >= cull_threshold * magnitude.sum()
@@ -791,17 +832,7 @@ def apply(
             # a culled negative entry becomes -0.0, which no later sum and
             # not the final clamp can tell from 0.0
             tensor *= keep
-    flat = tensor.reshape(-1)
-    hit = np.flatnonzero(flat > 0.0)
-    weights = flat[hit]
-    index = _deposit_index(hit & ((1 << k) - 1), touched, n) | blocks[hit >> k]
-    if blocks.size > 1:
-        order = np.argsort(index)
-        index, weights = index[order], weights[order]
-    total = weights.sum()
-    if total <= 0.0:
-        raise CalibrationError("no positive mass left after mitigation")
-    return Distribution._adopt(index, weights / total, n)
+    return tensor
 
 
 def _apply_local(tensor, axes, matrix, out):

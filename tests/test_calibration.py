@@ -503,15 +503,20 @@ def test_apply_cull_threshold_stability():
 
 
 def test_apply_refuses_a_tensor_past_the_bound_before_allocating():
-    # 25 touched qubits need 2^25 entries; two blocks of 24 qubits need 2^25 too
-    wide = SparseCalibration(tuple(((q,), np.eye(2)) for q in range(25)))
-    with pytest.raises(CalibrationError, match="over 25 qubits"):
-        apply(wide, Distribution.point_mass("0" * 25))
-    assert MAX_APPLY_ENTRIES == 1 << 24
-    blocked = SparseCalibration(tuple(((q,), np.eye(2)) for q in range(24)))
-    dist = Distribution({"0" * 25: 0.5, "0" * 24 + "1": 0.5}, 25)
+    # one qubit past the bound needs twice the entries, as do two blocks of a
+    # register at the bound; identity factors touch nothing
+    assert MAX_APPLY_ENTRIES == 1 << 26
+    width = MAX_APPLY_ENTRIES.bit_length()
+    flip = np.array([[0.9, 0.2], [0.1, 0.8]])
+    wide = SparseCalibration(tuple(((q,), flip) for q in range(width)))
+    with pytest.raises(CalibrationError, match=f"over {width} qubits"):
+        apply(wide, Distribution.point_mass("0" * width))
+    blocked = SparseCalibration(tuple(((q,), flip) for q in range(width - 1)))
+    dist = Distribution({"0" * width: 0.5, "0" * (width - 1) + "1": 0.5}, width)
     with pytest.raises(CalibrationError, match="in 2 block"):
         apply(blocked, dist)
+    idle = SparseCalibration(tuple(((q,), np.eye(2)) for q in range(width)))
+    assert apply(idle, dist) == dist
 
 
 def test_apply_culls_aggressively_when_asked():

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from cmcal.bench import one_norm
+from cmcal.bench import CalibrationStore, one_norm
 from cmcal.calibration import Distribution
 from cmcal.cli import main
 from cmcal.noise import NoiseModel, NoiseSpec, correlated_channel, ideal_ghz
@@ -114,10 +115,31 @@ def test_mitigate_empty_counts_file(tmp_path, capsys):
         counts_path.write_text(json.dumps(counts))
         assert main(["mitigate", "--store", str(store_path), "--counts", str(counts_path)]) == 1
         assert str(counts_path) in capsys.readouterr().err
-    # 30-bit keys get identity factors past the store's qubits: too wide to apply
-    counts_path.write_text(json.dumps({"0" * 30: 5, "1" * 30: 5}))
-    assert main(["mitigate", "--store", str(store_path), "--counts", str(counts_path)]) == 1
-    assert "over 30 qubits" in capsys.readouterr().err
+    # 30-bit keys get identity factors past the store's qubits, which leave
+    # those bits as they are and do not widen the application; with those
+    # bits all 0 the result is the 4-qubit mitigation, bit for bit
+    narrow = CalibrationStore.load(store_path).mitigate(
+        Distribution.from_counts({"0000": 5, "1111": 5}, 4)
+    )
+    out_path = tmp_path / "mitigated.json"
+    for tail in ("1" * 26, "0" * 26):
+        counts_path.write_text(json.dumps({"0" * 30: 5, "1111" + tail: 5}))
+        assert main([
+            "mitigate", "--store", str(store_path), "--counts", str(counts_path),
+            "--out", str(out_path),
+        ]) == 0
+        wide = Distribution(json.loads(out_path.read_text()), 30)
+        assert {key[4:] for key in wide.entries} <= {"0" * 26, tail}
+    assert np.array_equal(wide.index, narrow.index << np.uint64(26))
+    assert np.array_equal(wide.weights, narrow.weights)
+    # singles on 23 more qubits make 27 non-identity factors: too wide to apply
+    doc = json.loads(store_path.read_text())
+    doc["singles"] = {str(q): [[0.9, 0.2], [0.1, 0.8]] for q in range(4, 27)}
+    wide_store = tmp_path / "wide_store.json"
+    wide_store.write_text(json.dumps(doc))
+    counts_path.write_text(json.dumps({"0" * 27: 5, "1" * 27: 5}))
+    assert main(["mitigate", "--store", str(wide_store), "--counts", str(counts_path)]) == 1
+    assert "over 27 qubits" in capsys.readouterr().err
     # a store whose patches share two qubits loads, but cannot be joined
     doc = json.loads(store_path.read_text())
     eye = [[float(row == col) for col in range(8)] for row in range(8)]

@@ -312,8 +312,9 @@ def _sparse_apply(cal, dist, cull_threshold):
 
 
 def test_apply_equals_the_sparse_merge_bit_for_bit_on_a_blocked_input():
-    # Set bits outside the factor supports put the input in several blocks;
-    # 3- and 4-qubit factors on non-adjacent qubits, inverse ones signed.
+    # Set bits outside the supports of the non-identity factors put the input
+    # in several blocks; 3- and 4-qubit factors on non-adjacent qubits,
+    # inverse ones signed.
     rng = np.random.default_rng(8)
     n = 12
     supports = ((0, 3, 7), (2, 5, 8, 11), (3, 9), (5,), (0, 2, 9, 11))
@@ -324,6 +325,10 @@ def test_apply_equals_the_sparse_merge_bit_for_bit_on_a_blocked_input():
         mat /= mat.sum(axis=0)
         mat[rng.random((dim, dim)) < 0.2] = 0.0
         factors.append((support, np.linalg.inv(mat) if i % 2 else mat))
+    # identity factors only cull: one on a qubit nothing else touches, run
+    # first, so that it culls the input; one on touched qubits
+    factors.insert(0, ((10,), np.eye(2)))
+    factors.insert(3, ((3, 9), np.eye(4)))
     cal = SparseCalibration(tuple(factors))
     index = rng.choice(1 << n, size=300, replace=False)
     dist = Distribution.from_arrays(index, rng.uniform(0.0, 1.0, index.size), n)
