@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -269,7 +270,10 @@ class _CsvSink:
         self._writer.writerow(record.row())
         self._fh.flush()
 
-    def close(self):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
         self._fh.close()
 
 
@@ -294,9 +298,8 @@ def run_experiment(config: ExperimentConfig) -> list:
     except CalibrationError as exc:  # e.g. a register past the index bound
         unfit = exc
     budget = ShotBudget(config.shots)
-    sink = _CsvSink(config.out) if config.out else None
     records = []
-    try:
+    with _CsvSink(config.out) if config.out else nullcontext() as sink:
         for trial in range(config.trials):
             if fixed is not None:
                 spec = fixed
@@ -341,9 +344,6 @@ def run_experiment(config: ExperimentConfig) -> list:
                 records.append(record)
                 if sink is not None:
                     sink.write(record)
-    finally:
-        if sink is not None:
-            sink.close()
     return records
 
 
@@ -352,11 +352,9 @@ def emit_results(records, fmt: str, path):
     if not records:
         raise ValueError("no records to emit")
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
+        with _CsvSink(path) as sink:
             for record in records:
-                writer.writerow(record.row())
+                sink.write(record)
     elif fmt == "json":
         with open(path, "w") as fh:
             json.dump([r.to_doc() for r in records], fh, indent=2)

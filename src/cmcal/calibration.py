@@ -8,7 +8,7 @@ materialized; they are kept as an ordered list of small factors
 :class:`Distribution`'s basis-index arrays into a dense float64 tensor with
 one axis per qubit the factors touch, plus a leading block axis for each
 distinct pattern of the untouched bits, runs the factors on it one at a time
-through :func:`_apply_local` (the kernel exact noise corruption uses too),
+through :func:`_run_factors` (the loop exact noise corruption uses too),
 and gathers the positive entries back to sorted indices.  A tensor past
 ``MAX_APPLY_ENTRIES`` entries raises :class:`CalibrationError`.
 
@@ -52,6 +52,7 @@ _MAX_DENSE_QUBITS = 14
 # 2-CPU Xeon host, numpy float64).
 MAX_APPLY_ENTRIES = 1 << 26
 MAX_REGISTER_QUBITS = 64  # register indices are packed into uint64
+_MAX_BINCOUNT_QUBITS = 16  # widest marginal summed over all 2^p local patterns
 
 
 class CalibrationError(ValueError):
@@ -326,9 +327,14 @@ class Distribution:
 
     @classmethod
     def from_arrays(cls, index, weights, n: int) -> "Distribution":
-        """From copies of distinct basis indices, in any order, and their weights."""
-        weights = _finite(np.array(weights, dtype=float))
-        return cls._adopt(np.array(index, dtype=np.uint64), weights, n)
+        """From copies of distinct basis indices, in any order, and their
+        weights.  numpy would truncate float indices, wrap negative ones and
+        read booleans and strings as numbers; they raise instead."""
+        for i in index:
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < 1 << 64:
+                raise CalibrationError(f"basis index {i!r} is not a non-negative 64-bit integer")
+        weights = _finite(_as_floats(weights, "weights must be numbers"))
+        return cls._adopt(np.fromiter(index, dtype=np.uint64, count=len(index)), weights, n)
 
     @classmethod
     def _adopt(cls, index, weights, n: int) -> "Distribution":
@@ -385,8 +391,17 @@ class Distribution:
         sup = _as_support(support)
         if sup[-1] >= self.n:
             raise CalibrationError(f"support {sup} exceeds register {self.n}")
+        if len(sup) == self.n:  # the whole register: each entry is its own pattern
+            return self
         local = extract_index(self.index, sup, self.n)
-        return Distribution._adopt(*_summed(local, self.weights), len(sup))
+        if len(sup) > _MAX_BINCOUNT_QUBITS:
+            return Distribution._adopt(*_summed(local, self.weights), len(sup))
+        # a bincount over every local pattern adds in input order as _summed
+        # does, without sorting; the patterns that occur are kept, as there
+        local = local.astype(np.intp)
+        sums = np.bincount(local, weights=self.weights, minlength=1 << len(sup))
+        index = np.flatnonzero(np.bincount(local, minlength=sums.size))
+        return Distribution._adopt(index, sums[index], len(sup))
 
 
 @dataclass(frozen=True)
@@ -817,9 +832,10 @@ def apply(
 
 
 def _run_factors(tensor, steps, cull_threshold):
-    """The ``(axes, matrix)`` steps of :func:`apply` on ``tensor``, in order,
-    each followed by the cull; a step whose axes are None only culls.  The
-    second tensor and the cull mask are freed on return, before the gather."""
+    """The ``(axes, matrix)`` steps of :func:`apply` and of exact noise
+    corruption on ``tensor``, in order, each followed by the cull; a step whose
+    axes are None only culls.  The second tensor and the cull mask are freed
+    on return, before the gather."""
     spare = np.empty_like(tensor)
     for axes, matrix in steps:
         if axes is not None:

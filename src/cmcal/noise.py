@@ -4,12 +4,12 @@ A channel is a :class:`~cmcal.calibration.CalibrationMatrix`, the same
 column-stochastic type the calibration side estimates; its support may span
 the whole register.  A :class:`NoiseModel` holds an ordered set of channels
 over a register and corrupts ideal :class:`~cmcal.calibration.Distribution`
-objects exactly before seeded sampling: on a dense float64 tensor with one
-axis per qubit of the measured region, each channel acting on its own axes
-through ``calibration._apply_local``, the kernel mitigation applies inverse
-factors with.  A region of more than ``calibration.MAX_APPLY_ENTRIES`` basis
-states goes to ``calibration.apply``, whose tensor spans only the qubits the
-channels touch and raises ``CalibrationError`` past the same bound.
+objects exactly, into a Distribution over the measured region, before seeded
+sampling.  Up to ``calibration.MAX_APPLY_ENTRIES`` basis states the channels
+run on a dense float64 tensor over the region through
+``calibration._run_factors``, the factor loop of mitigation's ``apply``; a
+wider region goes to ``calibration.apply`` itself, whose tensor spans only
+the qubits the channels touch and raises ``CalibrationError`` past the bound.
 Corruption and sampling work on basis indices; bitstrings are formed only
 for the ``{bitstring: count}`` results of :meth:`NoiseModel.sample` and
 :func:`simulate_counts`.  The benchmark circuits (``ideal_ghz``,
@@ -38,7 +38,7 @@ from .calibration import (
     CalibrationMatrix,
     Distribution,
     SparseCalibration,
-    _apply_local,
+    _run_factors,
     _summed,
     apply as apply_channels,
     embed_dense,
@@ -223,19 +223,20 @@ class NoiseModel:
 
     def _corrupt_region(self, ideal, region):
         """Exact corruption of ``ideal``'s marginal on the ascending ``region``
-        by the channels whose supports lie inside it.
+        by the channels whose supports lie inside it, as a :class:`Distribution`
+        over the region.
 
         ``ideal`` is a register :class:`Distribution`, or a basis state given
         as ``{qubit: bit}`` with unlisted qubits 0: a basis state restricted
         to the region is a basis state, so it needs no register-wide index.
-        Up to ``MAX_APPLY_ENTRIES`` basis states the result is a float64
-        tensor of shape ``(2,) * len(region)``, axis ``i`` carrying
-        ``region[i]``: the input marginal is scattered into it once, each
-        channel acts on its support axes in firing order, and, if any channel
-        fired, non-positive entries are zeroed and the rest renormalized as
-        ``apply(..., cull_threshold=0.0)`` does.  Wider regions return the
-        :class:`Distribution` of that ``apply``, which raises
-        ``CalibrationError`` when the channels touch too many qubits.
+        If no channel fires, the region marginal comes back unchanged.
+        Otherwise, up to ``MAX_APPLY_ENTRIES`` basis states, the marginal is
+        scattered once into a float64 tensor of shape ``(2,) * len(region)``,
+        the channels run on their support axes in firing order through
+        ``calibration._run_factors``, and the positive entries are gathered
+        and renormalized as ``apply(..., cull_threshold=0.0)`` does.  Wider
+        regions go to that ``apply``, which raises ``CalibrationError`` when
+        the channels touch too many qubits.
         """
         p = len(region)
         if isinstance(ideal, Distribution):
@@ -256,31 +257,24 @@ class NoiseModel:
             for ch in reversed(self.channels)
             if pos.keys() >= set(ch.support)
         )
-        if 1 << p > MAX_APPLY_ENTRIES:
+        if not factors or 1 << p > MAX_APPLY_ENTRIES:
             sub = Distribution._adopt(*_summed(local, weights), p)
             if not factors:
                 return sub
             return apply_channels(SparseCalibration(factors), sub, cull_threshold=0.0)
         tensor = np.bincount(local.astype(np.intp), weights=weights, minlength=1 << p)
-        tensor = tensor.reshape((2,) * p)
-        if not factors:
-            return tensor
-        spare = np.empty_like(tensor)
-        for axes, matrix in factors:
-            tensor, spare = _apply_local(tensor, axes, matrix, spare), tensor
-        positive = tensor > 0.0
-        tensor[~positive] = 0.0
-        total = tensor[positive].sum()
+        flat = _run_factors(tensor.reshape((2,) * p), factors, 0.0).reshape(-1)
+        hit = np.flatnonzero(flat > 0.0)
+        positive = flat[hit]
+        total = positive.sum()
         if total <= 0.0:
             raise CalibrationError("no positive mass left after corruption")
-        tensor /= total
-        return tensor
+        return Distribution._adopt(hit, positive / total, p)
 
     def corrupted(self, ideal, measured=None):
         """Exact observed distribution for a (subset) measurement."""
         region = tuple(range(self.num_qubits)) if measured is None else self._qubits(measured)
-        out = self._corrupt_region(ideal, region)
-        return out if isinstance(out, Distribution) else _nonzero_distribution(out.ravel())
+        return self._corrupt_region(ideal, region)
 
     def marginal_after_noise(self, ideal, keeps):
         """Marginals over each support in ``keeps`` of the fully measured
@@ -290,8 +284,8 @@ class NoiseModel:
 
         Each support is closed under overlapping channel supports, so its
         marginal is exact without touching the rest of the register.  Each
-        distinct closure is corrupted once; a support's marginal is the sum
-        of the closure tensor over the other axes, added in index order.
+        distinct closure is corrupted once, and each support's marginal is
+        taken from that one result with :meth:`Distribution.marginal`.
         """
         keeps = [self._qubits(keep) for keep in keeps]
         by_region = {}
@@ -301,7 +295,7 @@ class NoiseModel:
         for region, slots in by_region.items():
             corrupted = self._corrupt_region(ideal, region)
             for slot in slots:
-                out[slot] = _marginal(corrupted, tuple(region.index(q) for q in keeps[slot]))
+                out[slot] = corrupted.marginal(tuple(region.index(q) for q in keeps[slot]))
         return out
 
     def _closure(self, keep):
@@ -321,23 +315,6 @@ class NoiseModel:
         distribution; keys cover the measured qubits in ascending order."""
         counts = sample_distribution(self.corrupted(ideal, measured), shots, seed)
         return {key: int(count) for key, count in counts.entries.items()}
-
-
-def _marginal(corrupted, axes):
-    """Marginal over the positions ``axes`` of a corrupted region."""
-    if isinstance(corrupted, Distribution):
-        return corrupted.marginal(axes)
-    drop = tuple(i for i in range(corrupted.ndim) if i not in axes)
-    # summing over the leading axis of a C-contiguous 2-D array adds its rows
-    # one after the other, the order Distribution.marginal adds entries in
-    rows = np.ascontiguousarray(np.transpose(corrupted, drop + axes)).reshape(-1, 1 << len(axes))
-    return _nonzero_distribution(rows.sum(axis=0))
-
-
-def _nonzero_distribution(vector):
-    """Distribution of the nonzero entries of a vector over basis indices."""
-    index = np.flatnonzero(vector)
-    return Distribution._adopt(index, vector[index], vector.size.bit_length() - 1)
 
 
 def sample_distribution(dist, shots, seed):

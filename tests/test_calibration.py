@@ -584,6 +584,14 @@ def test_distribution_from_counts_rejects_malformed_counts():
         Distribution.from_counts({"00": 0}, 2)
 
 
+def test_distribution_from_arrays_rejects_what_the_constructor_rejects():
+    # numpy would read the string and the boolean as numbers, truncate 0.9
+    # to index 0 and overflow on -1
+    for index, weights in (([0, 1], ["0.25", True]), ([0.9, 1], [0.5, 0.5]), ([-1], [1.0])):
+        with pytest.raises(CalibrationError):
+            Distribution.from_arrays(index, weights, 1)
+
+
 @pytest.mark.parametrize("key", ["0a", "2 ", " 1", "1\n", "０1", "01 "])
 def test_distribution_rejects_keys_with_a_bad_character(key):
     with pytest.raises(CalibrationError, match="is not a 2-bit string"):

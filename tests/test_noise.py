@@ -448,6 +448,34 @@ def test_wide_register_corrupts_exactly_on_the_sparse_path():
     assert sum(counts.values()) == 1000 and set(counts) <= set(want)
 
 
+def test_wide_register_marginals_are_exact_on_the_sparse_path():
+    # both closures are wider than a dense region, and both keeps are wider
+    # than a bincount marginal, so the marginals are summed over sorted indices
+    n = MAX_APPLY_ENTRIES.bit_length() + 2
+    channels = (
+        state_dependent_channel(0.1, 0.2, qubit=2),
+        correlated_channel((0, n - 1), "pairwise_flip", 0.25),
+    )
+    model = NoiseModel(n, channels)
+    # GHZ, then the joint flip on qubits 0 and n-1, then the misread of qubit 2
+    register = {}
+    for bit, joint, pj in (("0", "0", 0.75), ("0", "1", 0.25), ("1", "1", 0.75), ("1", "0", 0.25)):
+        misread = 0.1 if bit == "0" else 0.2
+        for out, pe in ((bit, 1.0 - misread), ("10"[int(bit)], misread)):
+            key = joint + bit + out + bit * (n - 4) + joint
+            register[key] = register.get(key, 0.0) + 0.5 * pj * pe
+    keeps = [tuple(range(1, n)), tuple(range(n - 2))]
+    marginals = model.marginal_after_noise(ideal_ghz(n), keeps)
+    for keep, got in zip(keeps, marginals):
+        want = {}
+        for key, p in register.items():
+            sub = "".join(key[q] for q in keep)
+            want[sub] = want.get(sub, 0.0) + p
+        assert got.n == len(keep) and set(got.entries) == set(want)
+        for k, v in want.items():
+            assert got.entries[k] == pytest.approx(v, abs=1e-15)
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         NoiseModel(1, (correlated_channel((0, 1), "pairwise_flip", 0.1),))

@@ -14,6 +14,7 @@ from cmcal.calibration import (
     CalibrationError,
     Distribution,
     SparseCalibration,
+    _run_factors,
     apply,
     assemble_for_measured,
     invert,
@@ -116,6 +117,35 @@ def test_apply_matches_the_dense_product_after_clamping(dist, data):
     assert got.n == n and np.all(np.diff(got.index.astype(np.int64)) > 0)
     assert np.all(got.weights > 0.0) and abs(got.total() - 1.0) <= 1e-12
     assert np.allclose(_dense(got), want / want.sum(), rtol=0.0, atol=1e-9)
+
+
+@st.composite
+def channel_lists(draw, n):
+    """One to six forward channels on 1-3 qubits of an n-qubit register:
+    columns summing to 1, some off-diagonal entries exactly zero."""
+    factors = []
+    for _ in range(draw(st.integers(1, 6))):
+        support = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                            max_size=min(3, n)))))
+        dim = 1 << len(support)
+        noise = draw(st.lists(st.sampled_from([0.0, 0.0, 0.01, 0.05, 0.1, 0.2]),
+                              min_size=dim * dim, max_size=dim * dim))
+        mat = np.eye(dim) + np.reshape(noise, (dim, dim))
+        factors.append((support, mat / mat.sum(axis=0)))
+    return SparseCalibration(tuple(factors))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(distributions(), st.data())
+def test_factor_loop_conserves_signed_mass_without_culling(dist, data):
+    # Columns summing to 1 keep the signed total, and so do the inverse
+    # factors (1^T A = 1^T gives 1^T A^-1 = 1^T), before any clamp.
+    n = dist.n
+    forward = data.draw(channel_lists(n))
+    for cal in (forward, invert(forward)):
+        tensor = _dense(dist).reshape((2,) * n)
+        out = _run_factors(tensor, list(cal.factors), cull_threshold=0.0)
+        assert abs(out.sum() - dist.weights.sum()) <= 1e-12
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)

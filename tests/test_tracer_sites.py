@@ -3,9 +3,12 @@
 Renaming or removing one of them makes ``Tracer.install`` raise, which would
 only show when the benchmark runs with ``--trace 1``; this test makes it fail
 the unit suite instead.  It also checks that every mitigation path still
-calls the join, the inversion and the application through a wrapped name.
+calls the join, the inversion and the application through a wrapped name,
+and, with no linter at hand, that every name a ``src/cmcal`` module imports
+is used there unless the tracer wraps it in that module.
 """
 
+import ast
 import importlib.util
 import inspect
 from pathlib import Path
@@ -17,7 +20,8 @@ from cmcal.topology import generate_architecture, greedy_patch_plan
 
 PIPELINE = {"calibration.assemble", "calibration.invert", "calibration.apply"}
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _load_spans():
@@ -62,3 +66,24 @@ def test_tracer_installs_on_every_site_and_uninstalls():
         index = tracer.spans.index(call)
         children = {span.name for span in stored if span.parent == index}
         assert PIPELINE <= children
+
+
+def test_src_modules_use_every_name_they_import():
+    wrapped = {}
+    for path, attr, _ in _load_spans().SITES:
+        wrapped.setdefault(path, set()).add(attr)
+    for source in sorted((ROOT / "src" / "cmcal").glob("*.py")):
+        module = "cmcal" if source.stem == "__init__" else f"cmcal.{source.stem}"
+        tree = ast.parse(source.read_text())
+        imported, used, exported = set(), set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                exported |= set(ast.literal_eval(node.value))
+        unused = imported - used - exported - wrapped.get(module, set())
+        assert not unused, f"{source.name} imports {sorted(unused)} without using them"
