@@ -4,11 +4,11 @@ A calibration matrix over a small qubit support is column-stochastic:
 ``entries[observed, prepared]`` is the probability of reading ``observed``
 after preparing ``prepared``.  Register-scale calibrations are never
 materialized; they are kept as an ordered list of small factors
-(:class:`SparseCalibration`).  :func:`apply` scatters a
-:class:`Distribution`'s basis-index arrays into a dense float64 tensor with
-one axis per qubit the factors touch, plus a leading block axis for each
-distinct pattern of the untouched bits, runs the factors on it one at a time
-through :func:`_run_factors` (the loop exact noise corruption uses too),
+(:class:`SparseCalibration`).  :func:`apply` runs them through
+:func:`_apply_factors`, the one exact factor path, which exact noise
+corruption shares: it scatters basis-index arrays into a dense float64 tensor
+with one axis per qubit the factors touch, plus a leading block axis for each
+distinct pattern of the untouched bits, runs the factors on it one at a time,
 and gathers the positive entries back to sorted indices.  A tensor past
 ``MAX_APPLY_ENTRIES`` entries raises :class:`CalibrationError`.
 
@@ -44,8 +44,8 @@ RIDGE_EPS = 1e-8
 DEFAULT_CULL = 1e-12
 
 _MAX_DENSE_QUBITS = 14
-# Largest tensor apply() builds, in float64 entries (blocks x 2^qubits), and
-# the widest region noise corrupts densely.  The tensor is 512 MB at the bound;
+# Largest tensor _apply_factors() builds for mitigation or exact corruption,
+# in float64 entries (blocks x 2^qubits).  The tensor is 512 MB at the bound;
 # with the factor loop's second tensor and row buffers, mitigating 16k counts
 # over 26 qubits peaked at 1.6 GB RSS (70 s), and exact corruption of a
 # 26-qubit register at 2.1 GB, 1 GB of it the 2^26-entry result (on a
@@ -97,27 +97,38 @@ def support_mask(support: tuple[int, ...], n: int) -> int:
     return sum(1 << (n - 1 - q) for q in support)
 
 
-def extract_index(idx: np.ndarray, support: tuple[int, ...], n: int) -> np.ndarray:
-    """Vectorized projection of register indices onto local support indices."""
+def _bit_runs(support: tuple[int, ...], n: int) -> dict[int, int]:
+    """``{shift: mask}`` for the runs of adjacent ``support`` qubits: the local
+    bits ``mask`` of a run sit ``shift`` places below its register bits."""
     p = len(support)
-    out = np.zeros_like(idx)
+    runs: dict[int, int] = {}
     for pos, q in enumerate(support):
-        out |= ((idx >> np.uint64(n - 1 - q)) & np.uint64(1)) << np.uint64(p - 1 - pos)
+        shift = (n - 1 - q) - (p - 1 - pos)
+        runs[shift] = runs.get(shift, 0) | 1 << (p - 1 - pos)
+    return runs
+
+
+def extract_index(idx: np.ndarray, support: tuple[int, ...], n: int) -> np.ndarray:
+    """Vectorized projection of register indices onto local support indices.
+    Runs of adjacent support qubits move as one; the whole register comes
+    back as ``idx`` itself."""
+    if len(support) == n:
+        return idx
+    out = np.zeros_like(idx)
+    for shift, mask in _bit_runs(support, n).items():
+        out |= (idx >> np.uint64(shift)) & np.uint64(mask)
     return out
 
 
 def _deposit_index(local: np.ndarray, support: tuple[int, ...], n: int) -> np.ndarray:
     """Inverse of :func:`extract_index`: local support indices as register
     indices with the other bits 0.  Runs of adjacent support qubits move as one."""
-    p = len(support)
-    runs: dict[int, int] = {}
-    for pos, q in enumerate(support):
-        shift = (n - 1 - q) - (p - 1 - pos)
-        runs[shift] = runs.get(shift, 0) | 1 << (p - 1 - pos)
     local = local.astype(np.uint64)
+    if len(support) == n:
+        return local
     out = np.zeros_like(local)
     part = np.empty_like(local)
-    for shift, mask in runs.items():
+    for shift, mask in _bit_runs(support, n).items():
         np.bitwise_and(local, np.uint64(mask), out=part)
         out |= np.left_shift(part, np.uint64(shift), out=part)
     return out
@@ -766,21 +777,12 @@ def apply(
     dist: Distribution,
     cull_threshold: float = DEFAULT_CULL,
 ) -> Distribution:
-    """Apply factors in stored order on a dense float64 tensor.
+    """Apply factors in stored order to ``dist`` through :func:`_apply_factors`.
 
-    The tensor has one axis per qubit the factors touch, in ascending order,
-    after one leading block axis with an entry for each distinct pattern of
-    ``dist``'s untouched bits; when those bits are all 0, or the factors
-    cover the register, it has one entry.  Identity factors, such as those
-    :func:`assemble_for_measured` gives uncovered qubits, add no axis.  Each
-    other factor runs through :func:`_apply_local`, so every entry is summed
-    in the order a sparse per-factor merge over sorted indices would sum
-    it.  After each factor,
-    entries below ``cull_threshold`` of the total absolute mass are set to
-    zero; the final distribution is clamped to non-negative weights,
-    gathered back to sorted register indices and renormalized.  A tensor of
-    more than ``MAX_APPLY_ENTRIES`` entries raises ``CalibrationError``
-    before it is allocated.
+    After each factor, entries below ``cull_threshold`` of the total absolute
+    mass are set to zero.  Identity factors, such as those
+    :func:`assemble_for_measured` gives uncovered qubits, change no entry:
+    they only cull, and their qubits add no tensor axis.
     """
     n = dist.n
     if dist.index.size == 0:
@@ -788,14 +790,28 @@ def apply(
     for support, _ in cal.factors:
         if max(support) >= n:
             raise CalibrationError(f"factor support {support} exceeds register {n}")
-    # an identity factor changes no entry; its qubits stay out of the tensor
-    # unless another factor touches them, and only its cull step is run
-    moves = [not np.array_equal(arr, np.eye(arr.shape[0])) for _, arr in cal.factors]
-    touched = tuple(sorted({
-        q for (support, _), move in zip(cal.factors, moves) if move for q in support
-    }))
+    steps = [(support, None if np.array_equal(arr, np.eye(arr.shape[0])) else arr)
+             for support, arr in cal.factors]
+    return _apply_factors(dist.index, dist.weights, n, steps, cull_threshold)
+
+
+def _apply_factors(index, weights, n, factors, cull_threshold):
+    """The one exact factor path, under :func:`apply` and exact noise
+    corruption: the ``(support, matrix)`` factors run in order on the
+    ``weights`` at the ``n``-qubit basis ``index``, and the positive entries
+    come back renormalized as a :class:`Distribution`.  A factor whose matrix
+    is None only culls.
+
+    ``np.bincount`` scatters the weights, summing a repeated index in input
+    order as :func:`_summed` does, into a float64 tensor with one axis per
+    qubit the matrices touch, in ascending order, after a leading block axis
+    with one entry per distinct pattern of the untouched bits.  A tensor of
+    more than ``MAX_APPLY_ENTRIES`` entries raises ``CalibrationError``
+    before it is allocated.
+    """
+    touched = tuple(sorted({q for support, arr in factors if arr is not None for q in support}))
     k = len(touched)
-    rest = dist.index & np.uint64(((1 << n) - 1) ^ support_mask(touched, n))
+    rest = index & np.uint64(((1 << n) - 1) ^ support_mask(touched, n))
     if rest.any():
         blocks, block = np.unique(rest, return_inverse=True)
     else:
@@ -805,14 +821,16 @@ def apply(
             f"applying factors over {k} qubits in {blocks.size} block(s) needs "
             f"{blocks.size << k} entries, over the {MAX_APPLY_ENTRIES}-entry bound"
         )
-    tensor = np.zeros(blocks.size << k)
-    tensor[(block << k) | extract_index(dist.index, touched, n).astype(np.intp)] = dist.weights
+    slot = (block << k) | extract_index(index, touched, n).astype(np.intp)
+    tensor = np.bincount(slot, weights=weights, minlength=blocks.size << k)
     axis = {q: i + 1 for i, q in enumerate(touched)}
-    steps = [(tuple(axis[q] for q in support) if move else None, arr)
-             for (support, arr), move in zip(cal.factors, moves)]
+    steps = [(None if arr is None else tuple(axis[q] for q in support), arr)
+             for support, arr in factors]
     tensor = _run_factors(tensor.reshape((blocks.size,) + (2,) * k), steps, cull_threshold)
     flat = tensor.reshape(-1)
     hit = np.flatnonzero(flat > 0.0)
+    if hit.size == 0:
+        raise CalibrationError("no positive mass left")
     weights = flat[hit]
     # the tensor goes before the gather, which holds a few arrays of the
     # result's length
@@ -825,17 +843,14 @@ def apply(
     if blocks.size > 1:
         order = np.argsort(index)
         index, weights = index[order], weights[order]
-    total = weights.sum()
-    if total <= 0.0:
-        raise CalibrationError("no positive mass left after mitigation")
-    return Distribution._adopt(index, weights / total, n)
+    return Distribution._adopt(index, weights / weights.sum(), n)
 
 
 def _run_factors(tensor, steps, cull_threshold):
-    """The ``(axes, matrix)`` steps of :func:`apply` and of exact noise
-    corruption on ``tensor``, in order, each followed by the cull; a step whose
-    axes are None only culls.  The second tensor and the cull mask are freed
-    on return, before the gather."""
+    """The ``(axes, matrix)`` steps of :func:`_apply_factors` on ``tensor``, in
+    order, each followed by the cull; a step whose axes are None only culls.
+    The second tensor and the cull mask are freed on return, before the
+    gather."""
     spare = np.empty_like(tensor)
     for axes, matrix in steps:
         if axes is not None:

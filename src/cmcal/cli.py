@@ -21,7 +21,7 @@ from .bench import (
     emit_results,
     run_experiment,
 )
-from .calibration import CalibrationError, Distribution
+from .calibration import Distribution
 from .noise import NoiseModel, NoiseSpec, state_dependent_channel, x_chain_experiment
 from .strategies import calibrate_patches
 from .topology import (
@@ -112,11 +112,7 @@ def _cmd_mitigate(args):
     except ValueError as exc:  # CalibrationError included
         print(f"counts file {args.counts}: {exc}", file=sys.stderr)
         return 1
-    try:
-        mitigated = store.mitigate(observed)
-    except CalibrationError as exc:
-        print(f"mitigating {args.counts} with {args.store}: {exc}", file=sys.stderr)
-        return 1
+    mitigated = store.mitigate(observed)
     _write_out(json.dumps(dict(mitigated.entries), indent=2), args.out)
     return 0
 
@@ -242,7 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # CalibrationError included
+        print(f"cmcal {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

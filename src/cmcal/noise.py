@@ -5,14 +5,11 @@ column-stochastic type the calibration side estimates; its support may span
 the whole register.  A :class:`NoiseModel` holds an ordered set of channels
 over a register and corrupts ideal :class:`~cmcal.calibration.Distribution`
 objects exactly, into a Distribution over the measured region, before seeded
-sampling.  Up to ``calibration.MAX_APPLY_ENTRIES`` basis states the channels
-run on a dense float64 tensor over the region through
-``calibration._run_factors``, the factor loop of mitigation's ``apply``; a
-wider region goes to ``calibration.apply`` itself, whose tensor spans only
-the qubits the channels touch and raises ``CalibrationError`` past the bound.
-Corruption and sampling work on basis indices; bitstrings are formed only
-for the ``{bitstring: count}`` results of :meth:`NoiseModel.sample` and
-:func:`simulate_counts`.  The benchmark circuits (``ideal_ghz``,
+sampling.  The channels run through ``calibration._apply_factors``, the
+factor path under mitigation's ``apply``, which raises ``CalibrationError``
+when they touch too many qubits.  Corruption and sampling work on basis
+indices; bitstrings are formed only for the ``{bitstring: count}`` results of
+:meth:`NoiseModel.sample` and :func:`simulate_counts`.  The benchmark circuits (``ideal_ghz``,
 ``ghz_distribution``) are plain distributions too.
 
 Subset measurement: when only a subset of the register is measured, a channel
@@ -33,18 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import (
-    MAX_APPLY_ENTRIES,
     CalibrationError,
     CalibrationMatrix,
     Distribution,
-    SparseCalibration,
-    _run_factors,
+    _apply_factors,
     _summed,
-    apply as apply_channels,
     embed_dense,
     extract_index,
     support_mask,
 )
+# unused here, but perfbench/spans.py SITES wraps this name in this module
+from .calibration import apply as apply_channels  # noqa: F401
 
 __all__ = [
     "NoiseSpec",
@@ -207,6 +203,8 @@ class NoiseModel:
                 raise ValueError(f"support {ch.support} exceeds register {num_qubits}")
         self.num_qubits = num_qubits
         self.channels = channels
+        # last listed acts first, matching the dense composite product
+        self._firing = tuple((frozenset(ch.support), ch) for ch in reversed(channels))
 
     @classmethod
     def from_spec(cls, num_qubits, spec):
@@ -229,14 +227,10 @@ class NoiseModel:
         ``ideal`` is a register :class:`Distribution`, or a basis state given
         as ``{qubit: bit}`` with unlisted qubits 0: a basis state restricted
         to the region is a basis state, so it needs no register-wide index.
-        If no channel fires, the region marginal comes back unchanged.
-        Otherwise, up to ``MAX_APPLY_ENTRIES`` basis states, the marginal is
-        scattered once into a float64 tensor of shape ``(2,) * len(region)``,
-        the channels run on their support axes in firing order through
-        ``calibration._run_factors``, and the positive entries are gathered
-        and renormalized as ``apply(..., cull_threshold=0.0)`` does.  Wider
-        regions go to that ``apply``, which raises ``CalibrationError`` when
-        the channels touch too many qubits.
+        If no channel fires, the region marginal comes back unchanged;
+        otherwise the channels run on it in firing order through
+        ``calibration._apply_factors`` without culling, which raises
+        ``CalibrationError`` when they touch too many qubits.
         """
         p = len(region)
         if isinstance(ideal, Distribution):
@@ -244,32 +238,21 @@ class NoiseModel:
                 raise CalibrationError(
                     f"distribution register {ideal.n} does not match model {self.num_qubits}"
                 )
-            local = extract_index(ideal.index, region, ideal.n) if p < ideal.n else ideal.index
+            local = extract_index(ideal.index, region, ideal.n)
             weights = ideal.weights
         else:
             flipped = tuple(i for i, q in enumerate(region) if ideal.get(q))
             local = np.array([support_mask(flipped, p)], dtype=np.uint64)
             weights = np.ones(1)
         pos = {q: i for i, q in enumerate(region)}
-        # last listed acts first, matching the dense composite product
-        factors = tuple(
+        factors = [
             (tuple(pos[q] for q in ch.support), ch.entries)
-            for ch in reversed(self.channels)
-            if pos.keys() >= set(ch.support)
-        )
-        if not factors or 1 << p > MAX_APPLY_ENTRIES:
-            sub = Distribution._adopt(*_summed(local, weights), p)
-            if not factors:
-                return sub
-            return apply_channels(SparseCalibration(factors), sub, cull_threshold=0.0)
-        tensor = np.bincount(local.astype(np.intp), weights=weights, minlength=1 << p)
-        flat = _run_factors(tensor.reshape((2,) * p), factors, 0.0).reshape(-1)
-        hit = np.flatnonzero(flat > 0.0)
-        positive = flat[hit]
-        total = positive.sum()
-        if total <= 0.0:
-            raise CalibrationError("no positive mass left after corruption")
-        return Distribution._adopt(hit, positive / total, p)
+            for qubits, ch in self._firing
+            if qubits <= pos.keys()
+        ]
+        if not factors:
+            return Distribution._adopt(*_summed(local, weights), p)
+        return _apply_factors(local, weights, p, factors, 0.0)
 
     def corrupted(self, ideal, measured=None):
         """Exact observed distribution for a (subset) measurement."""
@@ -303,8 +286,7 @@ class NoiseModel:
         grew = True
         while grew:
             grew = False
-            for ch in self.channels:
-                sup = set(ch.support)
+            for sup, _ in self._firing:
                 if sup & closure and not sup <= closure:
                     closure |= sup
                     grew = True
@@ -409,6 +391,8 @@ def x_chain_experiment(depth_max, channel, shots, seed, gate_flip=0.0):
     """
     if depth_max < 1:
         raise ValueError("depth_max must be >= 1")
+    if not (0.0 <= gate_flip <= 1.0):
+        raise ValueError("gate_flip must be in [0, 1]")
     if channel.num_qubits != 1:
         raise ValueError("x_chain_experiment uses a one-qubit channel")
     rates = []

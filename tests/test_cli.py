@@ -196,6 +196,22 @@ def test_bench_trial_override(tmp_path):
     assert len(out.read_text().strip().splitlines()) == 3
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["x-chain", "--gate-flip", "1.5"], "gate_flip"),
+        (["x-chain", "--depth", "0"], "depth_max"),
+        (["gen-arch", "grid", "--rows", "0"], "rows"),
+    ],
+    ids=["x-chain-gate-flip", "x-chain-depth", "gen-arch-rows"],
+)
+def test_bad_arguments_exit_1_with_one_line(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
 def test_x_chain_bands(tmp_path):
     out = tmp_path / "xchain.csv"
     assert main([

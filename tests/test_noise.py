@@ -341,16 +341,24 @@ def test_apply_equals_the_sparse_merge_bit_for_bit_on_a_blocked_input():
         assert np.array_equal(got.weights, want.weights)
 
 
-@pytest.mark.parametrize("measured", [None, (0, 2, 3, 6)])
-def test_dense_corruption_equals_the_sparse_apply_bit_for_bit(measured):
+@pytest.mark.parametrize(
+    "measured,bare",
+    [(None, ()), ((0, 2, 3, 6), ()), ((0, 1, 2, 5, 7), (5, 7))],
+    ids=["None", "measured1", "uncovered"],
+)
+def test_dense_corruption_equals_the_sparse_apply_bit_for_bit(measured, bare):
     # The sparse merge is the reference: same channels in firing order, same
-    # clamping and renormalization, same rounding.
+    # clamping and renormalization, same rounding.  The qubits in ``bare``
+    # have no readout channel and no joint flip fires on them, so GHZ puts
+    # the corruption tensor in one block per pattern of their bits.
     cmap = generate_architecture("heavy_hex", num_qubits=8)
     n = cmap.num_qubits
     flips = tuple(correlated_channel(e, "pairwise_flip", 0.05) for e in cmap.edges)
-    model = NoiseModel(n, NoiseSpec.random(n, seed=3).channels(n) + flips)
+    readout = tuple(ch for ch in NoiseSpec.random(n, seed=3).channels(n) if ch.support[0] not in bare)
+    model = NoiseModel(n, readout + flips)
     region = tuple(range(n)) if measured is None else measured
     fired = [ch for ch in reversed(model.channels) if set(ch.support) <= set(region)]
+    assert not {q for ch in fired for q in ch.support} & set(bare)
     forward = SparseCalibration(
         [(tuple(region.index(q) for q in ch.support), ch.entries) for ch in fired]
     )
@@ -624,3 +632,6 @@ def test_x_chain_validation():
         x_chain_experiment(5, ch, shots=100, seed=0)
     with pytest.raises(ValueError):
         x_chain_experiment(0, state_dependent_channel(0, 0), shots=100, seed=0)
+    for gate_flip in (2.0, -0.5):
+        with pytest.raises(ValueError, match="gate_flip"):
+            x_chain_experiment(3, state_dependent_channel(0, 0), 1000, 0, gate_flip=gate_flip)

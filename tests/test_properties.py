@@ -14,10 +14,13 @@ from cmcal.calibration import (
     CalibrationError,
     Distribution,
     SparseCalibration,
+    _deposit_index,
     _run_factors,
     apply,
     assemble_for_measured,
+    extract_index,
     invert,
+    support_mask,
 )
 from cmcal.noise import NoiseModel, NoiseSpec, correlated_channel, state_dependent_channel
 from cmcal.strategies import calibrate_patches
@@ -57,6 +60,28 @@ def distributions(draw, n=None, signed=True):
     low = -1.0 if signed else 0.01
     weights = draw(st.lists(st.floats(low, 1.0), min_size=len(index), max_size=len(index)))
     return Distribution.from_arrays(index, weights, n)
+
+
+@st.composite
+def supports_and_indices(draw):
+    n = draw(st.integers(1, 64))
+    support = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))))
+    index = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20))
+    return n, support, np.array(index, dtype=np.uint64)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(supports_and_indices())
+def test_bit_runs_move_the_bits_a_per_qubit_loop_moves(case):
+    n, support, index = case
+    p = len(support)
+    want = np.zeros_like(index)
+    for pos, q in enumerate(support):
+        want |= ((index >> np.uint64(n - 1 - q)) & np.uint64(1)) << np.uint64(p - 1 - pos)
+    local = extract_index(index, support, n)
+    assert np.array_equal(local, want)
+    back = _deposit_index(local, support, n)
+    assert np.array_equal(back, index & np.uint64(support_mask(support, n)))
 
 
 def _dense(dist):
