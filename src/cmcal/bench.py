@@ -46,10 +46,6 @@ CSV_COLUMNS = (
     "wall_ms",
 )
 
-# shots ledger keys counted as characterization overhead; everything else is
-# payload-circuit spending (masked, sub-measured, or plain runs of the circuit)
-_CALIBRATION_KEYS = frozenset({"calibration", "prepass"})
-
 STORE_VERSION = 1
 
 
@@ -163,16 +159,19 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         doc = json.loads(text)
-        return cls(
-            architecture=doc["architecture"],
-            noise=doc["noise"],
-            methods=tuple(doc["methods"]),
-            shots=int(doc["shots"]),
-            trials=int(doc.get("trials", 50)),
-            seed=int(doc.get("seed", 0)),
-            out=doc.get("out"),
-            deterministic_timing=bool(doc.get("deterministic_timing", True)),
-        )
+        try:
+            return cls(
+                architecture=doc["architecture"],
+                noise=doc["noise"],
+                methods=tuple(doc["methods"]),
+                shots=int(doc["shots"]),
+                trials=int(doc.get("trials", 50)),
+                seed=int(doc.get("seed", 0)),
+                out=doc.get("out"),
+                deterministic_timing=bool(doc.get("deterministic_timing", True)),
+            )
+        except KeyError as exc:
+            raise ValueError(f"experiment config is missing field {exc}") from None
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -251,12 +250,6 @@ def derived_seed(*parts) -> int:
     return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0])
 
 
-def _ledger_split(shots_used: dict) -> tuple[int, int]:
-    calibration = sum(v for k, v in shots_used.items() if k in _CALIBRATION_KEYS)
-    circuit = sum(v for k, v in shots_used.items() if k not in _CALIBRATION_KEYS)
-    return calibration, circuit
-
-
 class _CsvSink:
     """Incremental row writer: a killed sweep keeps everything flushed so far."""
 
@@ -328,7 +321,7 @@ def run_experiment(config: ExperimentConfig) -> list:
                     wall = 0.0 if config.deterministic_timing else (
                         (time.perf_counter() - start) * 1000.0
                     )
-                    calibration, circuit_shots = _ledger_split(result.shots_used)
+                    calibration = result.calibration_shots
                     record = ResultRecord(
                         method.method,
                         n,
@@ -337,7 +330,7 @@ def run_experiment(config: ExperimentConfig) -> list:
                         success_probability(result.mitigated, reference),
                         one_norm(result.mitigated, reference),
                         calibration,
-                        circuit_shots,
+                        result.total_shots - calibration,
                         wall,
                         diagnostics=result.diagnostics,
                     )

@@ -703,9 +703,8 @@ def assemble_for_measured(
                 multiplicity[q] = multiplicity.get(q, 0) + 1
 
     slot: dict[int, int] = {}
-    factors: list[tuple[tuple[int, ...], np.ndarray] | None] = []
-    merged_parts: dict[int, list[np.ndarray]] = {}
-    merged_pos: dict[int, int] = {}
+    factors: list[tuple[tuple[int, ...], np.ndarray]] = []
+    folded: dict[int, int] = {}  # qubit -> position of its straddling factor
     for mat in patches:
         inside = [q for q in mat.support if q in measured_set]
         if not inside:
@@ -724,17 +723,13 @@ def assemble_for_measured(
             slot[q] = slot.get(q, 0) + 1
             marg = normalized_partial_trace(mat, {q}).entries
             part = fractional_power(marg, 1.0 / v) if v > 1 else marg
-            if q not in merged_parts:
-                merged_pos[q] = len(factors)
-                factors.append(None)  # placeholder, filled below
-                merged_parts[q] = []
-            merged_parts[q].append(part)
-
-    for q, parts in merged_parts.items():
-        acc = parts[0]
-        for part in parts[1:]:
-            acc = acc @ part
-        factors[merged_pos[q]] = ((q,), normalize_columns(acc))
+            if q in folded:
+                factors[folded[q]] = ((q,), factors[folded[q]][1] @ part)
+            else:
+                folded[q] = len(factors)
+                factors.append(((q,), part))
+    for q, pos in folded.items():
+        factors[pos] = ((q,), normalize_columns(factors[pos][1]))
 
     for q in sorted(measured_set - set(multiplicity)):
         if singles and q in singles:
@@ -746,7 +741,7 @@ def assemble_for_measured(
             logger.warning("measured qubit %d not covered by any patch; identity factor", q)
             factors.append(((q,), np.eye(2)))
 
-    return SparseCalibration(tuple(f for f in factors if f is not None))
+    return SparseCalibration(tuple(factors))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from datetime import datetime, timezone
 from .bench import (
     CalibrationStore,
     ExperimentConfig,
+    StoreError,
     emit_results,
     run_experiment,
 )
@@ -85,8 +86,7 @@ def _cmd_err_map(args):
     store = CalibrationStore.load(args.store)
     pairs = {m.support: m for m in store.matrices if len(m.support) == 2}
     if not pairs:
-        print("store holds no two-qubit patches", file=sys.stderr)
-        return 1
+        raise ValueError("store holds no two-qubit patches")
     weights = correlation_weights(store.singles, pairs)
     selected = err_map(weights, args.max_edges)
     _write_out(selected.to_json(), args.out)
@@ -99,19 +99,16 @@ def _cmd_mitigate(args):
         doc = json.load(fh)
     counts = doc["counts"] if isinstance(doc, dict) and "counts" in doc else doc
     if not isinstance(counts, dict):
-        print(f"counts file {args.counts} is not a {{bitstring: count}} object", file=sys.stderr)
-        return 1
+        raise ValueError(f"counts file {args.counts} is not a {{bitstring: count}} object")
     if not counts:
-        print(f"counts file {args.counts} holds no counts", file=sys.stderr)
-        return 1
+        raise ValueError(f"counts file {args.counts} holds no counts")
     width, register = len(next(iter(counts))), max(store.qubits) + 1
     try:
         observed = Distribution.from_counts(counts, width)
         if width < register:
             raise ValueError(f"{width}-bit keys are narrower than the store's {register} qubits")
     except ValueError as exc:  # CalibrationError included
-        print(f"counts file {args.counts}: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"counts file {args.counts}: {exc}") from exc
     mitigated = store.mitigate(observed)
     _write_out(json.dumps(dict(mitigated.entries), indent=2), args.out)
     return 0
@@ -127,17 +124,12 @@ def _cmd_bench(args):
     if args.trials is not None:
         overrides["trials"] = args.trials
     out = args.out if args.out is not None else config.out
-    if args.format == "csv":
-        overrides["out"] = out
-    else:
-        overrides["out"] = None
-    if overrides:
-        config = replace(config, **overrides)
+    if args.format == "json" and not out:
+        raise ValueError("--out is required for json output")
+    overrides["out"] = out if args.format == "csv" else None
+    config = replace(config, **overrides)
     records = run_experiment(config)
     if args.format == "json":
-        if not out:
-            print("--out is required for json output", file=sys.stderr)
-            return 1
         emit_results(records, "json", out)
     by_method = {}
     for record in records:
@@ -240,7 +232,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # CalibrationError included
+    except (ValueError, OSError, StoreError) as exc:  # CalibrationError included
         print(f"cmcal {args.command}: {exc}", file=sys.stderr)
         return 1
 

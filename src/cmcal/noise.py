@@ -39,6 +39,7 @@ from .calibration import (
     extract_index,
     support_mask,
 )
+from .topology import _bfs
 # unused here, but perfbench/spans.py SITES wraps this name in this module
 from .calibration import apply as apply_channels  # noqa: F401
 
@@ -179,11 +180,14 @@ class NoiseSpec:
         doc = json.loads(text)
         correlated = []
         for item in doc.get("correlated", []):
-            support = tuple(item["support"])
-            if "matrix" in item:
-                correlated.append(CalibrationMatrix(support, item["matrix"]))
-            else:
-                correlated.append(correlated_channel(support, item["kind"], item["p"]))
+            try:
+                support = tuple(item["support"])
+                if "matrix" in item:
+                    correlated.append(CalibrationMatrix(support, item["matrix"]))
+                else:
+                    correlated.append(correlated_channel(support, item["kind"], item["p"]))
+            except KeyError as exc:
+                raise ValueError(f"correlated noise entry is missing field {exc}") from None
         return cls(
             {int(q): tuple(r) for q, r in doc.get("per_qubit", {}).items()},
             tuple(correlated),
@@ -330,21 +334,10 @@ def ghz_cnot_schedule(cmap, root=0):
     """Entangling schedule: BFS tree edges (control, target) in visit order."""
     if not (0 <= root < cmap.num_qubits):
         raise IndexError(f"root {root} out of range")
-    seen = {root}
-    order = []
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in cmap.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    order.append((u, v))
-                    nxt.append(v)
-        frontier = nxt
-    if len(seen) != cmap.num_qubits:
+    order = tuple((u, v) for u, v, _ in _bfs(cmap, root))
+    if len(order) != cmap.num_qubits - 1:
         raise ValueError("coupling map is not connected from the root")
-    return tuple(order)
+    return order
 
 
 def ghz_distribution(cmap, gate_flip=0.0, root=0):

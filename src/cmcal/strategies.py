@@ -109,6 +109,12 @@ class MethodResult:
     def total_shots(self):
         return sum(self.shots_used.values())
 
+    @property
+    def calibration_shots(self):
+        """Shots spent characterizing the device, in the calibration and
+        pre-pass phases; every other phase runs the circuit itself."""
+        return self.shots_used.get("calibration", 0) + self.shots_used.get("prepass", 0)
+
 
 def _check_register(dist, noise, n=None):
     if n is None:
@@ -145,11 +151,13 @@ def _masked(dist, mask):
     return Distribution._adopt(dist.index ^ np.uint64(mask), dist.weights, dist.n)
 
 
-def _average(dists, n):
-    w = 1.0 / len(dists)
-    index = np.concatenate([d.index for d in dists])
-    weights = np.concatenate([w * d.weights for d in dists])
-    return Distribution._adopt(*_summed(index, weights), n).finalized()
+def _unmasked_average(noise, circuit, masks, shots, rng):
+    """Average of one run of ``circuit`` under each mask, XOR-unmasked."""
+    runs = [_masked(_observe(noise, _masked(circuit, m), shots, rng), m) for m in masks]
+    w = 1.0 / len(runs)
+    index = np.concatenate([d.index for d in runs])
+    weights = np.concatenate([w * d.weights for d in runs])
+    return Distribution._adopt(*_summed(index, weights), circuit.n).finalized()
 
 
 def _bit_strings(masks, n):
@@ -254,13 +262,9 @@ def run_sim(circuit, noise, budget, seed=0):
     per = None if budget is None else budget.total // len(masks)
     if per is not None and per < 1:
         raise ValueError("budget too small for four masked runs")
-    unmasked = []
-    for mask in masks:
-        observed = _observe(noise, _masked(circuit, mask), per, rng)
-        unmasked.append(_masked(observed, mask))
     return MethodResult(
         "sim",
-        _average(unmasked, n),
+        _unmasked_average(noise, circuit, masks, per, rng),
         {"circuit": (per or 0) * len(masks)},
         {"circuits": {"circuit": len(masks)}, "masks": _bit_strings(masks, n)},
     )
@@ -304,19 +308,15 @@ def run_aim(circuit, noise, budget, r1=None, r2=None, top_k=None, seed=0):
     for mask in masks:
         observed = _observe(noise, _masked(circuit, mask), r1, rng)
         scores.append(float(observed.weights.max()))
-    selected = sorted(range(m), key=lambda i: (-scores[i], i))[:top_k]
-    unmasked = []
-    for i in selected:
-        observed = _observe(noise, _masked(circuit, masks[i]), r2, rng)
-        unmasked.append(_masked(observed, masks[i]))
+    selected = [masks[i] for i in sorted(range(m), key=lambda i: (-scores[i], i))[:top_k]]
     return MethodResult(
         "aim",
-        _average(unmasked, n),
+        _unmasked_average(noise, circuit, selected, r2, rng),
         {"phase1": (r1 or 0) * m, "phase2": (r2 or 0) * top_k},
         {
             "circuits": {"phase1": m, "phase2": top_k},
             "masks": _bit_strings(masks, n),
-            "selected": _bit_strings([masks[i] for i in selected], n),
+            "selected": _bit_strings(selected, n),
             "scores": scores,
         },
     )

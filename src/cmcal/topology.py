@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +92,10 @@ class CouplingMap:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
-        return cls(int(doc["num_qubits"]), [tuple(e) for e in doc["edges"]])
+        try:
+            return cls(int(doc["num_qubits"]), [tuple(e) for e in doc["edges"]])
+        except KeyError as exc:
+            raise ValueError(f"coupling map is missing field {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -345,6 +347,20 @@ def generate_architecture(kind, **params):
 # --- distance queries ---------------------------------------------------------
 
 
+def _bfs(cmap, source):
+    """Breadth-first visit from ``source``, neighbours in ascending order:
+    ``(parent, qubit, distance)`` for every other qubit it reaches, in visit
+    order."""
+    distance = {source: 0}
+    queue = [source]
+    for u in queue:
+        for v in cmap.neighbors(u):
+            if v not in distance:
+                distance[v] = distance[u] + 1
+                queue.append(v)
+                yield u, v, distance[v]
+
+
 def graph_distance(cmap, i, j):
     """Shortest-path edge count between two qubits; ``math.inf`` if disconnected."""
     for q in (i, j):
@@ -352,34 +368,17 @@ def graph_distance(cmap, i, j):
             raise IndexError(f"qubit {q} out of range")
     if i == j:
         return 0
-    dist = {i: 0}
-    queue = deque([i])
-    while queue:
-        u = queue.popleft()
-        for v in cmap.neighbors(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                if v == j:
-                    return dist[v]
-                queue.append(v)
-    return math.inf
+    return next((d for _, v, d in _bfs(cmap, i) if v == j), math.inf)
 
 
 def _ball(cmap, source, radius):
     """All qubits within graph distance ``radius`` of ``source`` (inclusive)."""
-    seen = {source}
-    frontier = [source]
-    for _ in range(radius):
-        nxt = []
-        for u in frontier:
-            for v in cmap.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        if not nxt:
+    ball = {source}
+    for _, v, d in _bfs(cmap, source):
+        if d > radius:
             break
-        frontier = nxt
-    return seen
+        ball.add(v)
+    return ball
 
 
 def candidate_pairs(cmap, locality):

@@ -237,3 +237,44 @@ def test_x_chain_json(tmp_path):
     ]) == 0
     rows = json.loads(out.read_text())
     assert [r["depth"] for r in rows] == [1, 2, 3]
+
+
+_MAP = {"num_qubits": 3, "edges": [[0, 1], [1, 2]]}
+_STORE = {"version": 1, "arch_id": "x", "created": "now"}
+_CONFIG = {"architecture": {"kind": "linear", "num_qubits": 3}, "noise": {"kind": "random"},
+           "methods": [{"method": "bare"}], "shots": 100, "trials": 1}
+
+
+@pytest.mark.parametrize(
+    "argv,files,message",
+    [
+        (["patch-plan", "--map", "absent.json"], {}, "absent.json"),
+        (["bench", "--config", "absent.json"], {}, "absent.json"),
+        (["mitigate", "--store", "store.json", "--counts", "absent.json"],
+         {"store.json": _STORE}, "corrupted calibration store: 'matrices'"),
+        (["err-map", "--store", "store.json"],
+         {"store.json": _STORE}, "corrupted calibration store: 'matrices'"),
+        (["err-map", "--store", "store.json"],
+         {"store.json": {**_STORE, "matrices": [{"support": [0], "entries": [[1, 0], [0, 1]]}]}},
+         "no two-qubit patches"),
+        (["patch-plan", "--map", "map.json"], {"map.json": {"num_qubits": 3}}, "'edges'"),
+        (["calibrate", "--map", "map.json", "--noise", "noise.json", "--out", "store.json"],
+         {"map.json": _MAP, "noise.json": {"correlated": [{"kind": "pairwise_flip", "p": 0.1}]}},
+         "'support'"),
+        (["bench", "--config", "config.json"],
+         {"config.json": {k: v for k, v in _CONFIG.items() if k != "shots"}}, "'shots'"),
+        (["bench", "--config", "config.json", "--format", "json"],
+         {"config.json": _CONFIG}, "--out is required"),
+    ],
+    ids=["missing-map", "missing-config", "mitigate-store-without-matrices",
+         "err-map-store-without-matrices", "err-map-store-without-pairs", "map-without-edges",
+         "noise-without-support", "config-without-shots", "json-without-out"],
+)
+def test_missing_files_and_fields_exit_1_with_one_line(argv, files, message, tmp_path, capsys):
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err

@@ -1,14 +1,18 @@
 import itertools
 import math
+import random
+from collections import deque
 
 import numpy as np
 import pytest
 
+from cmcal.noise import ghz_cnot_schedule
 from cmcal.topology import (
     CorrelationWeights,
     CouplingMap,
     ErrMap,
     PatchPlan,
+    _ball,
     candidate_pairs,
     correlation_weights,
     err_map,
@@ -171,6 +175,61 @@ def test_candidate_pairs_locality():
     cmap = generate_architecture("linear", num_qubits=5)
     pairs = candidate_pairs(cmap, 2)
     assert pairs == ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4))
+
+
+def _reference_bfs(cmap, source):
+    """Distances from ``source`` and the BFS tree edges in visit order, by a
+    queue over adjacency built from the edge list."""
+    adjacency = {q: [] for q in range(cmap.num_qubits)}
+    for a, b in cmap.edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    distance, tree, queue = {source: 0}, [], deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in sorted(adjacency[u]):
+            if v not in distance:
+                distance[v] = distance[u] + 1
+                tree.append((u, v))
+                queue.append(v)
+    return distance, tree
+
+
+def _maps_for_search():
+    """Every generator kind, then seeded random maps, many disconnected."""
+    yield from _family()
+    yield generate_architecture("heavy_hex", num_qubits=12)
+    yield generate_architecture("fully_connected", num_qubits=6)
+    rng = random.Random(18)
+    for _ in range(30):
+        n = rng.randint(1, 9)
+        p = rng.choice((0.15, 0.3, 0.6))
+        yield CouplingMap(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+
+def test_searches_match_a_reference_breadth_first_search():
+    disconnected = 0
+    for cmap in _maps_for_search():
+        n = cmap.num_qubits
+        for source in range(n):
+            distance, tree = _reference_bfs(cmap, source)
+            for target in range(n):
+                assert graph_distance(cmap, source, target) == distance.get(target, math.inf)
+            for radius in range(4):
+                assert _ball(cmap, source, radius) == {q for q, d in distance.items() if d <= radius}
+            if len(distance) == n:
+                assert ghz_cnot_schedule(cmap, source) == tuple(tree)
+            else:
+                disconnected += 1
+                with pytest.raises(ValueError, match="not connected"):
+                    ghz_cnot_schedule(cmap, source)
+        for locality in (1, 2, 3):
+            expected = tuple(
+                (i, j) for i in range(n) for j in range(i + 1, n)
+                if _reference_bfs(cmap, i)[0].get(j, math.inf) <= locality
+            )
+            assert candidate_pairs(cmap, locality) == expected
+    assert disconnected > 0
 
 
 # --- greedy patch plan ---------------------------------------------------------

@@ -87,3 +87,29 @@ def test_src_modules_use_every_name_they_import():
                 exported |= set(ast.literal_eval(node.value))
         unused = imported - used - exported - wrapped.get(module, set())
         assert not unused, f"{source.name} imports {sorted(unused)} without using them"
+
+
+def test_src_modules_use_every_private_helper_they_define():
+    defined, referenced = {}, set()
+    for source in sorted((ROOT / "src" / "cmcal").glob("*.py")):
+        tree = ast.parse(source.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = source.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+    unused = {name: module for name, module in defined.items() if name not in referenced}
+    assert not unused, f"private names defined but never used in src/cmcal: {unused}"
