@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import (
-    MAX_PATCH_QUBITS,
     CalibrationError,
     CalibrationMatrix,
     CountsRecord,
     Distribution,
+    _check_patch_set,
     _ordered_sum,
 )
 # unused here, but perfbench/spans.py SITES wraps these three names in this module
@@ -159,6 +159,8 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("experiment config must be a JSON object")
         try:
             return cls(
                 architecture=doc["architecture"],
@@ -383,12 +385,10 @@ class CalibrationStore:
         )
         if not matrices:
             raise StoreError("store holds no calibration matrices")
-        supports = [m.support for m in matrices]
-        if len(set(supports)) != len(supports):
-            raise StoreError("duplicate patch supports in store")
-        for sup in supports:
-            if len(sup) > MAX_PATCH_QUBITS:
-                raise StoreError(f"patch {sup} exceeds the {MAX_PATCH_QUBITS}-qubit bound")
+        try:
+            _check_patch_set([m.support for m in matrices])
+        except CalibrationError as exc:
+            raise StoreError(str(exc)) from None
         singles = {}
         for q, mat in self.singles.items():
             single = mat if isinstance(mat, CalibrationMatrix) else CalibrationMatrix((int(q),), mat)

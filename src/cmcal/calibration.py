@@ -41,7 +41,8 @@ COLUMN_TOL = 1e-9
 MAX_PATCH_QUBITS = 4
 DET_TOL = 1e-12
 RIDGE_EPS = 1e-8
-DEFAULT_CULL = 1e-12
+# share of a mitigated distribution below which apply() drops an entry
+_RESIDUE_FLOOR = 1e-12
 
 _MAX_DENSE_QUBITS = 14
 # Largest tensor _apply_factors() builds for mitigation or exact corruption,
@@ -657,6 +658,24 @@ def _adjusted_factor(mat: CalibrationMatrix, orders: dict[int, tuple[int, int]])
 # ---------------------------------------------------------------------------
 # joining
 
+def _check_patch_set(supports) -> None:
+    """Raise ``CalibrationError`` unless the patch ``supports`` are distinct,
+    span at most ``MAX_PATCH_QUBITS`` qubits each, and share at most one
+    qubit pairwise: the patch sets :func:`assemble_for_measured` can join."""
+    if len(set(supports)) != len(supports):
+        raise CalibrationError("duplicate patch supports")
+    owner: dict[tuple[int, int], tuple[int, ...]] = {}
+    for sup in supports:
+        if len(sup) > MAX_PATCH_QUBITS:
+            raise CalibrationError(f"patch {sup} exceeds the {MAX_PATCH_QUBITS}-qubit bound")
+        for pair in combinations(sup, 2):
+            if pair in owner:
+                raise CalibrationError(
+                    f"patches {owner[pair]} and {sup} share more than one qubit"
+                )
+            owner[pair] = sup
+
+
 def assemble_for_measured(
     patches,
     measured,
@@ -671,27 +690,12 @@ def assemble_for_measured(
     measured qubit, merged into one factor per qubit; patches fully outside
     are dropped.  Multiplicities count the surviving patches only.  A
     measured qubit no surviving patch touches falls back to its entry in
-    ``singles`` or, failing that, to an identity factor (logged, since it
-    leaves that qubit unmitigated).  Patch supports must be distinct, span
-    at most ``MAX_PATCH_QUBITS`` qubits, and share at most one qubit
-    pairwise.
+    ``singles``; failing that it gets no factor and is logged, since it is
+    left unmitigated.  The patches must pass :func:`_check_patch_set`.
     """
     patches = [m if isinstance(m, CalibrationMatrix) else CalibrationMatrix(*m) for m in patches]
     supports = [m.support for m in patches]
-    if len(set(supports)) != len(supports):
-        raise CalibrationError("duplicate patch supports")
-    owner: dict[tuple[int, int], tuple[int, ...]] = {}
-    for sup in supports:
-        if len(sup) > MAX_PATCH_QUBITS:
-            raise CalibrationError(
-                f"patch {sup} exceeds the {MAX_PATCH_QUBITS}-qubit bound"
-            )
-        for pair in combinations(sup, 2):
-            if pair in owner:
-                raise CalibrationError(
-                    f"patches {owner[pair]} and {sup} share more than one qubit"
-                )
-            owner[pair] = sup
+    _check_patch_set(supports)
     measured_set = frozenset(int(q) for q in measured)
     if not measured_set:
         raise CalibrationError("measured set is empty")
@@ -738,8 +742,7 @@ def assemble_for_measured(
                 raise CalibrationError(f"singles entry for {q} has support {single.support}")
             factors.append(((q,), single.entries.copy()))
         else:
-            logger.warning("measured qubit %d not covered by any patch; identity factor", q)
-            factors.append(((q,), np.eye(2)))
+            logger.warning("measured qubit %d not covered by any patch; left unmitigated", q)
 
     return SparseCalibration(tuple(factors))
 
@@ -767,17 +770,15 @@ def invert(cal: SparseCalibration) -> SparseCalibration:
     return SparseCalibration(tuple(inverted))
 
 
-def apply(
-    cal: SparseCalibration,
-    dist: Distribution,
-    cull_threshold: float = DEFAULT_CULL,
-) -> Distribution:
-    """Apply factors in stored order to ``dist`` through :func:`_apply_factors`.
+def apply(cal: SparseCalibration, dist: Distribution) -> Distribution:
+    """The factors of ``cal`` applied in stored order to ``dist`` through
+    :func:`_apply_factors`: their exact product, with negative entries
+    clamped to zero and the rest renormalized.
 
-    After each factor, entries below ``cull_threshold`` of the total absolute
-    mass are set to zero.  Identity factors, such as those
-    :func:`assemble_for_measured` gives uncovered qubits, change no entry:
-    they only cull, and their qubits add no tensor axis.
+    Identity factors, such as the exact singles of noiseless qubits, change
+    no entry and are skipped, so their qubits add no tensor axis.  Entries
+    below ``_RESIDUE_FLOOR`` of the result, the rounding residue of signed
+    inverse factors, are dropped once at the end.
     """
     n = dist.n
     if dist.index.size == 0:
@@ -785,26 +786,28 @@ def apply(
     for support, _ in cal.factors:
         if max(support) >= n:
             raise CalibrationError(f"factor support {support} exceeds register {n}")
-    steps = [(support, None if np.array_equal(arr, np.eye(arr.shape[0])) else arr)
-             for support, arr in cal.factors]
-    return _apply_factors(dist.index, dist.weights, n, steps, cull_threshold)
+    factors = [(s, a) for s, a in cal.factors if not np.array_equal(a, np.eye(a.shape[0]))]
+    out = _apply_factors(dist.index, dist.weights, n, factors)
+    keep = out.weights >= _RESIDUE_FLOOR
+    if keep.all():
+        return out
+    return Distribution._adopt(out.index[keep], out.weights[keep] / out.weights[keep].sum(), n)
 
 
-def _apply_factors(index, weights, n, factors, cull_threshold):
+def _apply_factors(index, weights, n, factors):
     """The one exact factor path, under :func:`apply` and exact noise
     corruption: the ``(support, matrix)`` factors run in order on the
     ``weights`` at the ``n``-qubit basis ``index``, and the positive entries
-    come back renormalized as a :class:`Distribution`.  A factor whose matrix
-    is None only culls.
+    come back renormalized as a :class:`Distribution`.
 
     ``np.bincount`` scatters the weights, summing a repeated index in input
     order as :func:`_summed` does, into a float64 tensor with one axis per
-    qubit the matrices touch, in ascending order, after a leading block axis
+    qubit the factors touch, in ascending order, after a leading block axis
     with one entry per distinct pattern of the untouched bits.  A tensor of
     more than ``MAX_APPLY_ENTRIES`` entries raises ``CalibrationError``
     before it is allocated.
     """
-    touched = tuple(sorted({q for support, arr in factors if arr is not None for q in support}))
+    touched = tuple(sorted({q for support, _ in factors for q in support}))
     k = len(touched)
     rest = index & np.uint64(((1 << n) - 1) ^ support_mask(touched, n))
     if rest.any():
@@ -819,9 +822,8 @@ def _apply_factors(index, weights, n, factors, cull_threshold):
     slot = (block << k) | extract_index(index, touched, n).astype(np.intp)
     tensor = np.bincount(slot, weights=weights, minlength=blocks.size << k)
     axis = {q: i + 1 for i, q in enumerate(touched)}
-    steps = [(None if arr is None else tuple(axis[q] for q in support), arr)
-             for support, arr in factors]
-    tensor = _run_factors(tensor.reshape((blocks.size,) + (2,) * k), steps, cull_threshold)
+    steps = [(tuple(axis[q] for q in support), arr) for support, arr in factors]
+    tensor = _run_factors(tensor.reshape((blocks.size,) + (2,) * k), steps)
     flat = tensor.reshape(-1)
     hit = np.flatnonzero(flat > 0.0)
     if hit.size == 0:
@@ -841,23 +843,12 @@ def _apply_factors(index, weights, n, factors, cull_threshold):
     return Distribution._adopt(index, weights / weights.sum(), n)
 
 
-def _run_factors(tensor, steps, cull_threshold):
+def _run_factors(tensor, steps):
     """The ``(axes, matrix)`` steps of :func:`_apply_factors` on ``tensor``, in
-    order, each followed by the cull; a step whose axes are None only culls.
-    The second tensor and the cull mask are freed on return, before the
-    gather."""
+    order.  The second tensor is freed on return, before the gather."""
     spare = np.empty_like(tensor)
     for axes, matrix in steps:
-        if axes is not None:
-            tensor, spare = _apply_local(tensor, axes, matrix, spare), tensor
-        if cull_threshold > 0.0:
-            magnitude = np.abs(tensor, out=spare)
-            keep = magnitude >= cull_threshold * magnitude.sum()
-            if not keep.any():
-                raise CalibrationError("all mass culled during application")
-            # a culled negative entry becomes -0.0, which no later sum and
-            # not the final clamp can tell from 0.0
-            tensor *= keep
+        tensor, spare = _apply_local(tensor, axes, matrix, spare), tensor
     return tensor
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from dataclasses import replace
@@ -38,7 +39,7 @@ _ARCH_PARAMS = ("num_qubits", "rows", "cols")
 
 def _write_out(text: str, out):
     if out:
-        with open(out, "w") as fh:
+        with open(out, "w", newline="") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -148,19 +149,14 @@ def _cmd_x_chain(args):
     channel = state_dependent_channel(args.p01, args.p10, qubit=0)
     rates = x_chain_experiment(args.depth, channel, args.shots, args.seed, args.gate_flip)
     if args.format == "json":
-        _write_out(json.dumps([{"depth": d, "error": e} for d, e in rates], indent=2), args.out)
+        text = json.dumps([{"depth": d, "error": e} for d, e in rates], indent=2)
     else:
-        if args.out:
-            fh = open(args.out, "w", newline="")
-        else:
-            fh = sys.stdout
-        try:
-            writer = csv.writer(fh)
-            writer.writerow(["depth", "error"])
-            writer.writerows(rates)
-        finally:
-            if args.out:
-                fh.close()
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["depth", "error"])
+        writer.writerows(rates)
+        text = buf.getvalue()
+    _write_out(text, args.out)
     return 0
 
 

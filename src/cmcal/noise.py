@@ -178,6 +178,8 @@ class NoiseSpec:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("noise spec must be a JSON object")
         correlated = []
         for item in doc.get("correlated", []):
             try:
@@ -233,8 +235,8 @@ class NoiseModel:
         to the region is a basis state, so it needs no register-wide index.
         If no channel fires, the region marginal comes back unchanged;
         otherwise the channels run on it in firing order through
-        ``calibration._apply_factors`` without culling, which raises
-        ``CalibrationError`` when they touch too many qubits.
+        ``calibration._apply_factors``, which raises ``CalibrationError`` when
+        they touch too many qubits.
         """
         p = len(region)
         if isinstance(ideal, Distribution):
@@ -256,7 +258,7 @@ class NoiseModel:
         ]
         if not factors:
             return Distribution._adopt(*_summed(local, weights), p)
-        return _apply_factors(local, weights, p, factors, 0.0)
+        return _apply_factors(local, weights, p, factors)
 
     def corrupted(self, ideal, measured=None):
         """Exact observed distribution for a (subset) measurement."""

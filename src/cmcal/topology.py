@@ -92,6 +92,8 @@ class CouplingMap:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("coupling map must be a JSON object")
         try:
             return cls(int(doc["num_qubits"]), [tuple(e) for e in doc["edges"]])
         except KeyError as exc:

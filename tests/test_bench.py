@@ -343,3 +343,16 @@ def test_store_with_a_five_qubit_patch_fails_to_load(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(StoreError, match="qubit bound"):
         CalibrationStore.load(path)
+
+
+def test_store_whose_patches_share_two_qubits_fails_to_load(tmp_path):
+    # the patch-set rule of the join holds when the store loads, not only at
+    # its first mitigate
+    store, _ = _store_and_model()
+    path = tmp_path / "store.json"
+    store.save(path)
+    doc = json.loads(path.read_text())
+    doc["matrices"].append({"support": [0, 1, 2], "entries": np.eye(8).tolist()})
+    path.write_text(json.dumps(doc))
+    with pytest.raises(StoreError, match="share more than one qubit"):
+        CalibrationStore.load(path)

@@ -115,9 +115,9 @@ def test_mitigate_empty_counts_file(tmp_path, capsys):
         counts_path.write_text(json.dumps(counts))
         assert main(["mitigate", "--store", str(store_path), "--counts", str(counts_path)]) == 1
         assert str(counts_path) in capsys.readouterr().err
-    # 30-bit keys get identity factors past the store's qubits, which leave
-    # those bits as they are and do not widen the application; with those
-    # bits all 0 the result is the 4-qubit mitigation, bit for bit
+    # 30-bit keys get no factors past the store's qubits, so those bits stay
+    # as they are and do not widen the application; with those bits all 0
+    # the result is the 4-qubit mitigation, bit for bit
     narrow = CalibrationStore.load(store_path).mitigate(
         Distribution.from_counts({"0000": 5, "1111": 5}, 4)
     )
@@ -132,7 +132,7 @@ def test_mitigate_empty_counts_file(tmp_path, capsys):
         assert {key[4:] for key in wide.entries} <= {"0" * 26, tail}
     assert np.array_equal(wide.index, narrow.index << np.uint64(26))
     assert np.array_equal(wide.weights, narrow.weights)
-    # singles on 23 more qubits make 27 non-identity factors: too wide to apply
+    # singles on 23 more qubits make 27 factors: too wide to apply
     doc = json.loads(store_path.read_text())
     doc["singles"] = {str(q): [[0.9, 0.2], [0.1, 0.8]] for q in range(4, 27)}
     wide_store = tmp_path / "wide_store.json"
@@ -140,7 +140,7 @@ def test_mitigate_empty_counts_file(tmp_path, capsys):
     counts_path.write_text(json.dumps({"0" * 27: 5, "1" * 27: 5}))
     assert main(["mitigate", "--store", str(wide_store), "--counts", str(counts_path)]) == 1
     assert "over 27 qubits" in capsys.readouterr().err
-    # a store whose patches share two qubits loads, but cannot be joined
+    # a store whose patches share two qubits cannot be joined, so it does not load
     doc = json.loads(store_path.read_text())
     eye = [[float(row == col) for col in range(8)] for row in range(8)]
     doc["matrices"].append({"support": [0, 1, 2], "entries": eye})
@@ -229,6 +229,19 @@ def test_x_chain_bands(tmp_path):
     assert abs(sum(even) / len(even) - 0.02) < 0.01
 
 
+def test_x_chain_csv_bytes_match_on_file_and_stdout(tmp_path, capfdbinary):
+    # csv writes "\r\n" line ends; the file and stdout carry the same bytes
+    want = (b"depth,error\r\n1,0.07799999999999996\r\n2,0.01200000000000001\r\n"
+            b"3,0.08799999999999997\r\n")
+    argv = ["x-chain", "--depth", "3", "--shots", "500"]
+    out = tmp_path / "xchain.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == want
+    assert capfdbinary.readouterr().out == b""
+    assert main(argv) == 0
+    assert capfdbinary.readouterr().out == want
+
+
 def test_x_chain_json(tmp_path):
     out = tmp_path / "xchain.json"
     assert main([
@@ -265,10 +278,17 @@ _CONFIG = {"architecture": {"kind": "linear", "num_qubits": 3}, "noise": {"kind"
          {"config.json": {k: v for k, v in _CONFIG.items() if k != "shots"}}, "'shots'"),
         (["bench", "--config", "config.json", "--format", "json"],
          {"config.json": _CONFIG}, "--out is required"),
+        (["patch-plan", "--map", "map.json"], {"map.json": [1, 2]},
+         "coupling map must be a JSON object"),
+        (["calibrate", "--map", "map.json", "--noise", "noise.json", "--out", "store.json"],
+         {"map.json": _MAP, "noise.json": [1]}, "noise spec must be a JSON object"),
+        (["bench", "--config", "config.json"], {"config.json": [1]},
+         "experiment config must be a JSON object"),
     ],
     ids=["missing-map", "missing-config", "mitigate-store-without-matrices",
          "err-map-store-without-matrices", "err-map-store-without-pairs", "map-without-edges",
-         "noise-without-support", "config-without-shots", "json-without-out"],
+         "noise-without-support", "config-without-shots", "json-without-out",
+         "map-not-an-object", "noise-not-an-object", "config-not-an-object"],
 )
 def test_missing_files_and_fields_exit_1_with_one_line(argv, files, message, tmp_path, capsys):
     for name, doc in files.items():

@@ -295,17 +295,13 @@ def _sparse_factor(idx, weights, support, arr, n):
     return _summed(np.concatenate(out_idx), np.concatenate(out_w))
 
 
-def _sparse_apply(cal, dist, cull_threshold):
+def _sparse_apply(cal, dist):
     """Reference for ``calibration.apply``: the factors applied as sparse
-    merges over sorted index arrays, culling dropped entries after each."""
+    merges over sorted index arrays."""
     n = dist.n
     idx, weights = dist.index, dist.weights
     for support, arr in cal.factors:
         idx, weights = _sparse_factor(idx, weights, support, arr, n)
-        if cull_threshold > 0.0:
-            floor = cull_threshold * np.abs(weights).sum()
-            keep = np.abs(weights) >= floor
-            idx, weights = idx[keep], weights[keep]
     positive = weights > 0.0
     idx, weights = idx[positive], weights[positive]
     return Distribution._adopt(idx, weights / weights.sum(), n)
@@ -325,8 +321,8 @@ def test_apply_equals_the_sparse_merge_bit_for_bit_on_a_blocked_input():
         mat /= mat.sum(axis=0)
         mat[rng.random((dim, dim)) < 0.2] = 0.0
         factors.append((support, np.linalg.inv(mat) if i % 2 else mat))
-    # identity factors only cull: one on a qubit nothing else touches, run
-    # first, so that it culls the input; one on touched qubits
+    # identity factors are skipped: one on a qubit nothing else touches, run
+    # first, which stays untouched; one on touched qubits
     factors.insert(0, ((10,), np.eye(2)))
     factors.insert(3, ((3, 9), np.eye(4)))
     cal = SparseCalibration(tuple(factors))
@@ -334,11 +330,9 @@ def test_apply_equals_the_sparse_merge_bit_for_bit_on_a_blocked_input():
     dist = Distribution.from_arrays(index, rng.uniform(0.0, 1.0, index.size), n)
     untouched = support_mask((1, 4, 6, 10), n)
     assert len({int(i) & untouched for i in dist.index}) > 1
-    for cull in (1e-12, 1e-3, 0.0):
-        got = apply(cal, dist) if cull == 1e-12 else apply(cal, dist, cull_threshold=cull)
-        want = _sparse_apply(cal, dist, cull)
-        assert np.array_equal(got.index, want.index)
-        assert np.array_equal(got.weights, want.weights)
+    got, want = apply(cal, dist), _sparse_apply(cal, dist)
+    assert np.array_equal(got.index, want.index)
+    assert np.array_equal(got.weights, want.weights)
 
 
 @pytest.mark.parametrize(
@@ -364,7 +358,7 @@ def test_dense_corruption_equals_the_sparse_apply_bit_for_bit(measured, bare):
     )
     for ideal in (ideal_ghz(n), Distribution.point_mass("10110010")):
         sub = ideal if measured is None else ideal.marginal(measured)
-        want = _sparse_apply(forward, sub, cull_threshold=0.0)
+        want = _sparse_apply(forward, sub)
         got = model.corrupted(ideal, measured)
         assert got.entries == want.entries
         assert list(got.entries) == list(want.entries)

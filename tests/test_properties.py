@@ -129,16 +129,16 @@ def factor_lists(draw, n):
 @given(distributions(signed=False), st.data())
 def test_apply_matches_the_dense_product_after_clamping(dist, data):
     # On a register up to 10 qubits wide, any set bits outside the factors
-    # included, apply without culling is the dense product, clamped and
+    # included, apply is the dense product, clamped and
     # renormalized.
     n = dist.n
     cal = data.draw(factor_lists(n))
     want = np.clip(cal.dense(n) @ _dense(dist), 0.0, None)
     if want.sum() <= 1e-9:
         with pytest.raises(CalibrationError):
-            apply(cal, dist, cull_threshold=0.0)
+            apply(cal, dist)
         return
-    got = apply(cal, dist, cull_threshold=0.0)
+    got = apply(cal, dist)
     assert got.n == n and np.all(np.diff(got.index.astype(np.int64)) > 0)
     assert np.all(got.weights > 0.0) and abs(got.total() - 1.0) <= 1e-12
     assert np.allclose(_dense(got), want / want.sum(), rtol=0.0, atol=1e-9)
@@ -169,7 +169,7 @@ def test_factor_loop_conserves_signed_mass_without_culling(dist, data):
     forward = data.draw(channel_lists(n))
     for cal in (forward, invert(forward)):
         tensor = _dense(dist).reshape((2,) * n)
-        out = _run_factors(tensor, list(cal.factors), cull_threshold=0.0)
+        out = _run_factors(tensor, list(cal.factors))
         assert abs(out.sum() - dist.weights.sum()) <= 1e-12
 
 

@@ -159,6 +159,15 @@ def test_linear_matches_full_under_independent_noise():
     assert one_norm(lin.mitigated, ideal_ghz(n)) < 1e-9
 
 
+def test_linear_on_a_wide_register_with_few_noisy_qubits():
+    # the singles of the 28 noiseless qubits are exact identities, which add
+    # no tensor axis: the 30-qubit register stays far under the bound
+    n = 30
+    model = NoiseModel.from_spec(n, NoiseSpec({0: (0.02, 0.05), 29: (0.06, 0.01)}))
+    res = run_linear(ideal_ghz(n), model, None)
+    assert one_norm(res.mitigated, ideal_ghz(n)) < 1e-9
+
+
 def test_linear_leaves_correlated_component():
     n = 2
     model = NoiseModel(n, (correlated_channel((0, 1), "pairwise_flip", 0.3),))
@@ -351,6 +360,16 @@ def test_cmc_exact_recovery_for_matching_aligned_noise():
     )
     res = run_cmc(ideal_ghz(n), model, None, chain(n))
     assert one_norm(res.mitigated, ideal_ghz(n)) < 1e-6
+
+
+def test_cmc_exact_mode_returns_no_rounding_residue():
+    # the signed inverse factors leave entries of order 1e-16 where the
+    # exact answer has none; apply drops them
+    n = 12
+    model = NoiseModel.from_spec(n, NoiseSpec.random(n, seed=3))
+    res = run_cmc(ideal_ghz(n), model, None, generate_architecture("heavy_hex", num_qubits=n))
+    assert set(res.mitigated.entries) == set(ideal_ghz(n).entries)
+    assert one_norm(res.mitigated, ideal_ghz(n)) < 1e-12
 
 
 def test_cmc_circuit_counting_matches_plan():
